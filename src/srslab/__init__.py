@@ -13,9 +13,9 @@ from .optim import (LrSchedule, OptimState, effective_epoch, init_optim,
 from .rng import make_stream
 from .samplers import (SAMPLER_KINDS, EpochShuffleState, SrsPool,
                        draw_batch_epoch, draw_batch_replacement,
-                       draw_batch_srs, init_epoch_shuffle, init_srs,
-                       make_sampler, pool_histogram, refill_count,
-                       srs_draw_at)
+                       draw_batch_srs, draw_epoch, draw_replacement, draw_srs,
+                       init_epoch_shuffle, init_srs, make_sampler,
+                       pool_histogram, refill_count, srs_draw_at)
 from .training import MetricsRow, TrainConfig, TrainResult, train
 
 __all__ = [
@@ -29,7 +29,8 @@ __all__ = [
     "sgd_step",
     "make_stream",
     "SAMPLER_KINDS", "EpochShuffleState", "SrsPool", "draw_batch_epoch",
-    "draw_batch_replacement", "draw_batch_srs", "init_epoch_shuffle",
+    "draw_batch_replacement", "draw_batch_srs", "draw_epoch",
+    "draw_replacement", "draw_srs", "init_epoch_shuffle",
     "init_srs", "make_sampler", "pool_histogram", "refill_count",
     "srs_draw_at",
     "MetricsRow", "TrainConfig", "TrainResult", "train",

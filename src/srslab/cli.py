@@ -7,8 +7,7 @@ import dataclasses
 import statistics
 import sys
 
-from .config import (ConfigError, GridConfig, parse_config,
-                     parse_grid_config)
+from .config import GridConfig, parse_config, parse_grid_config
 from .counting import CountParams, configs_one_epoch, configs_with, configs_without
 from .coverage import ReplicaReport, simulate_coverage
 from .csvio import CsvTable, write_csv
@@ -179,10 +178,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

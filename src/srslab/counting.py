@@ -6,21 +6,19 @@ no value is ever rounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) via the multiplicative recurrence, exact at any size."""
+    """C(n, k), exact at any size.  Unlike `math.comb`, k > n is an error,
+    not 0."""
     if n < 0 or k < 0:
         raise ValueError(f"binomial needs n, k >= 0, got n={n}, k={k}")
     if k > n:
         raise ValueError(f"binomial needs k <= n, got n={n}, k={k}")
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
+    return math.comb(n, k)
 
 
 @dataclass(frozen=True)

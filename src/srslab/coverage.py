@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import make_stream
-from .samplers import make_sampler
+from .samplers import BLOCK_ELEMENTS, _check_sizes, make_sampler
 
 
 @dataclass
@@ -69,8 +69,6 @@ def expected_untouched_replacement(dataset_size: int, batch_size: int,
                                    iterations: int) -> float:
     """Exact per-sample probability of never being drawn in T iterations of
     batched replacement: (1 - B/N)**T."""
-    from .samplers import _check_sizes
-
     _check_sizes(dataset_size, batch_size)
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -109,13 +107,16 @@ def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    _check_sizes(dataset_size, batch_size)
+    block = max(1, BLOCK_ELEMENTS // batch_size)
     per_replica = []
     for r in range(replicas):
         rng = make_stream(seed, stream_id=r)
-        next_batch = make_sampler(kind, dataset_size, batch_size, rng)
+        draw = make_sampler(kind, dataset_size, batch_size, rng)
         counts = np.zeros(dataset_size, dtype=np.int64)
-        for _ in range(iterations):
-            np.add.at(counts, next_batch(), 1)  # batches may repeat an index
+        for done in range(0, iterations, block):
+            batches = draw(min(block, iterations - done))
+            counts += np.bincount(batches.ravel(), minlength=dataset_size)
         per_replica.append(visit_stats(counts, iterations, batch_size))
     return ReplicaReport(
         kind=kind,

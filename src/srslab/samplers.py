@@ -1,10 +1,11 @@
 """Mini-batch samplers: sequenced replacement, epoch shuffle, batched replacement.
 
 All three are deterministic state machines driven by a numpy Generator.
-A batch is an int64 array of exactly `batch_size` dataset indices in
-[0, dataset_size).  Under sequenced replacement a batch may repeat an
-index once the pool holds duplicate copies; the other two regimes always
-return distinct indices.
+`make_sampler` returns `draw(k)`, which gives the next k batches as a
+(k, batch_size) int64 array of dataset indices in [0, dataset_size).
+Under sequenced replacement a batch may repeat an index once the pool
+holds duplicate copies; the other two regimes always return distinct
+indices within a batch.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 SAMPLER_KINDS = ("srs", "epoch", "replacement")
+
+# Subset rows are made in chunks of about this many int64 entries (256 KiB),
+# so no temporary grows with k * N; coverage sizes its draw blocks by it too.
+BLOCK_ELEMENTS = 1 << 15
 
 
 def _check_sizes(dataset_size: int, batch_size: int) -> None:
@@ -28,20 +33,51 @@ def _check_sizes(dataset_size: int, batch_size: int) -> None:
         )
 
 
+def _subset_rows(rng: np.random.Generator, n: int, b: int,
+                 k: int) -> np.ndarray:
+    """k rows of b distinct values in [0, n), each row uniform over the
+    ordered b-tuples of distinct values, so its set is a uniform b-subset.
+
+    When b(b-1) <= 2n, rows are drawn with replacement and the rows with
+    a repeat are redrawn: conditioning i.i.d. uniform tuples on being
+    distinct leaves them uniform, and a row is distinct with probability
+    prod(1 - i/n), which tends to exp(-b(b-1)/2n) >= e^-1 as n grows and
+    is at least 2/9 (n = b = 3).  Otherwise each row is the first b
+    entries of a uniform permutation of range(n).  Rows are made in
+    chunks of about BLOCK_ELEMENTS temporary entries, or one row of n.
+    """
+    out = np.empty((k, b), dtype=np.int64)
+    sparse = b * (b - 1) <= 2 * n
+    step = max(1, BLOCK_ELEMENTS // (b if sparse else n))
+    for start in range(0, k, step):
+        rows = out[start:start + step]
+        if sparse:
+            redraw = np.arange(len(rows))
+            while redraw.size:
+                rows[redraw] = rng.integers(0, n, size=(redraw.size, b))
+                ordered = np.sort(rows[redraw], axis=1)
+                redraw = redraw[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+        else:
+            perms = np.tile(np.arange(n, dtype=np.int64), (len(rows), 1))
+            rows[:] = rng.permuted(perms, axis=1, out=perms)[:, :b]
+    return out
+
+
 @dataclass
 class SrsPool:
     """Replacement-sampling pool with a sequenced refill cursor.
 
-    `slots` is a multiset of dataset indices stored as a flat list whose
+    `slots` is an int64 array holding a multiset of dataset indices; its
     order carries no meaning.  Each sample starts with exactly one slot.
-    After every draw the pool is topped back up to `dataset_size` entries
-    by appending the indices cursor, cursor+1, ... taken modulo
-    dataset_size, so the first index follows the last one cyclically.
+    A draw reads `batch_size` distinct slots and overwrites them in place
+    with the indices cursor, cursor+1, ... taken modulo dataset_size, so
+    the pool always holds `dataset_size` entries and the first index
+    follows the last one cyclically.
     """
 
     dataset_size: int
     batch_size: int
-    slots: list[int]
+    slots: np.ndarray
     cursor: int = 0
     draws_completed: int = 0
 
@@ -53,53 +89,62 @@ def init_srs(dataset_size: int, batch_size: int) -> SrsPool:
     the lifetime of the pool.
     """
     _check_sizes(dataset_size, batch_size)
-    return SrsPool(dataset_size, batch_size, list(range(dataset_size)))
+    return SrsPool(dataset_size, batch_size,
+                   np.arange(dataset_size, dtype=np.int64))
+
+
+def _srs_rows(state: SrsPool, positions: np.ndarray) -> np.ndarray:
+    """Apply one draw per row of `positions` (each row distinct slot
+    positions) and return the drawn dataset indices, row by row."""
+    n, b, k = state.dataset_size, state.batch_size, len(positions)
+    fills = ((state.cursor + np.arange(k * b)) % n).reshape(k, b)
+    out = np.empty((k, b), dtype=np.int64)
+    for row, pos, fill in zip(out, positions, fills):
+        row[:] = state.slots[pos]
+        state.slots[pos] = fill
+    state.cursor = (state.cursor + k * b) % n
+    state.draws_completed += k
+    return out
 
 
 def srs_draw_at(state: SrsPool, positions: Sequence[int]) -> np.ndarray:
-    """Apply one draw that removes the slots at `positions`, then refill.
+    """Apply one draw that reads the slots at `positions`, then refill.
 
-    `positions` index into the current slot list and must be distinct;
-    this is the deterministic core of `draw_batch_srs`, exposed so a draw
-    can be forced onto chosen slots (replays, walkthrough tests).
-    Returns the drawn dataset indices in position order.
+    `positions` index into the current slot array and must be distinct;
+    this forces a draw onto chosen slots (replays, walkthrough tests)
+    through the same row loop `draw_srs` uses.  Returns the drawn dataset
+    indices in position order.
     """
-    slots = state.slots
     b = state.batch_size
     if len(positions) != b:
         raise ValueError(f"expected {b} positions, got {len(positions)}")
     if len(set(positions)) != b:
         raise ValueError("slot positions must be distinct within one draw")
-    batch = np.fromiter((slots[p] for p in positions), dtype=np.int64, count=b)
-    for p in sorted(positions, reverse=True):
-        slots[p] = slots[-1]
-        slots.pop()
-    start = state.cursor
-    n = state.dataset_size
-    for k in range(b):
-        slots.append((start + k) % n)
-    state.cursor = (start + b) % n
-    state.draws_completed += 1
-    return batch
+    return _srs_rows(state, np.asarray([positions], dtype=np.int64))[0]
 
 
-def draw_batch_srs(state: SrsPool, rng: np.random.Generator) -> np.ndarray:
-    """Draw `batch_size` distinct slots uniformly at random and refill.
+def draw_srs(state: SrsPool, rng: np.random.Generator, k: int) -> np.ndarray:
+    """The next k draws: each reads `batch_size` distinct slots chosen
+    uniformly at random, then refills them.
 
     Selection is uniform at slot granularity: every slot is equally likely
     regardless of which dataset index occupies it, so duplicate indices can
-    appear within one batch.
+    appear within one batch.  Slot positions do not depend on what the
+    pool holds, so all k rows of them are drawn at once.
     """
-    positions = _distinct_positions(rng, len(state.slots), state.batch_size)
-    return srs_draw_at(state, positions)
+    positions = _subset_rows(rng, state.dataset_size, state.batch_size, k)
+    return _srs_rows(state, positions)
+
+
+def draw_batch_srs(state: SrsPool, rng: np.random.Generator) -> np.ndarray:
+    """One draw of `draw_srs`."""
+    return draw_srs(state, rng, 1)[0]
 
 
 def pool_histogram(state: SrsPool) -> dict[int, int]:
     """Multiplicity of every dataset index in the pool, zeros included."""
-    hist = {i: 0 for i in range(state.dataset_size)}
-    for s in state.slots:
-        hist[s] += 1
-    return hist
+    hist = np.bincount(state.slots, minlength=state.dataset_size)
+    return dict(enumerate(hist.tolist()))
 
 
 def refill_count(index: int, draws_completed: int, dataset_size: int,
@@ -131,52 +176,57 @@ def init_epoch_shuffle(dataset_size: int, batch_size: int,
     return EpochShuffleState(dataset_size, batch_size, perm)
 
 
+def draw_epoch(state: EpochShuffleState, rng: np.random.Generator,
+               k: int) -> np.ndarray:
+    """Next k batches of consecutive permutation entries, reshuffling (and
+    discarding any partial remainder) whenever a batch would overrun it."""
+    n, b = state.dataset_size, state.batch_size
+    out = np.empty(k * b, dtype=np.int64)
+    done = 0
+    while done < out.size:
+        if state.position + b > n:
+            state.permutation = rng.permutation(n).astype(np.int64)
+            state.position = 0
+        take = min(out.size - done, (n - state.position) // b * b)
+        out[done:done + take] = state.permutation[
+            state.position:state.position + take]
+        state.position += take
+        done += take
+    return out.reshape(k, b)
+
+
 def draw_batch_epoch(state: EpochShuffleState,
                      rng: np.random.Generator) -> np.ndarray:
-    """Next `batch_size` entries of the current permutation, reshuffling
-    (and discarding any partial remainder) once it is exhausted."""
-    if state.position + state.batch_size > state.dataset_size:
-        state.permutation = rng.permutation(state.dataset_size).astype(np.int64)
-        state.position = 0
-    batch = state.permutation[state.position:state.position + state.batch_size]
-    state.position += state.batch_size
-    return batch.copy()
+    """One batch of `draw_epoch`."""
+    return draw_epoch(state, rng, 1)[0]
+
+
+def draw_replacement(dataset_size: int, batch_size: int,
+                     rng: np.random.Generator, k: int) -> np.ndarray:
+    """k batches of `batch_size` distinct indices, each uniform over all
+    subsets of that size; nothing carries over between draws."""
+    _check_sizes(dataset_size, batch_size)
+    return _subset_rows(rng, dataset_size, batch_size, k)
 
 
 def draw_batch_replacement(dataset_size: int, batch_size: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """One batch of `batch_size` distinct indices, uniform over all
-    subsets of that size; nothing carries over between draws."""
-    _check_sizes(dataset_size, batch_size)
-    positions = _distinct_positions(rng, dataset_size, batch_size)
-    return np.array(positions, dtype=np.int64)
+    """One batch of `draw_replacement`."""
+    return draw_replacement(dataset_size, batch_size, rng, 1)[0]
 
 
 def make_sampler(kind: str, dataset_size: int, batch_size: int,
-                 rng: np.random.Generator) -> Callable[[], np.ndarray]:
-    """Uniform front door: a zero-argument callable yielding batches."""
+                 rng: np.random.Generator) -> Callable[[int], np.ndarray]:
+    """Uniform front door: `draw(k)` yields the next k batches as a
+    (k, batch_size) int64 array."""
     if kind == "srs":
         srs_state = init_srs(dataset_size, batch_size)
-        return lambda: draw_batch_srs(srs_state, rng)
+        return lambda k: draw_srs(srs_state, rng, k)
     if kind == "epoch":
         epoch_state = init_epoch_shuffle(dataset_size, batch_size, rng)
-        return lambda: draw_batch_epoch(epoch_state, rng)
+        return lambda k: draw_epoch(epoch_state, rng, k)
     if kind == "replacement":
-        return lambda: draw_batch_replacement(dataset_size, batch_size, rng)
+        return lambda k: draw_replacement(dataset_size, batch_size, rng, k)
     raise ValueError(
         f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}"
     )
-
-
-def _distinct_positions(rng: np.random.Generator, n: int, k: int) -> list[int]:
-    # Partial Fisher-Yates over a virtual arange(n): O(k) time and space,
-    # uniform over ordered k-tuples of distinct values in [0, n).
-    js = rng.integers(0, n - np.arange(k))
-    remap: dict[int, int] = {}
-    out = []
-    for i, j in enumerate(js):
-        j = int(j)
-        top = n - 1 - i
-        out.append(remap.get(j, j))
-        remap[j] = remap.get(top, top)
-    return out

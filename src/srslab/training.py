@@ -116,16 +116,15 @@ def train(config: TrainConfig) -> TrainResult:
                      make_stream(config.seed, MODEL_STREAM))
     opt = init_optim(model, config.momentum, config.weight_decay)
     schedule = config.schedule()
-    next_batch = make_sampler(config.sampler, n, b,
-                              make_stream(config.seed, SAMPLER_STREAM))
+    draw = make_sampler(config.sampler, n, b,
+                        make_stream(config.seed, SAMPLER_STREAM))
 
     result = TrainResult(config)
     iterations = 0
     for _ in range(config.epochs):
         loss_sum = 0.0
-        for _ in range(per_epoch):
+        for batch in draw(per_epoch):
             rate = lr_at(schedule, effective_epoch(iterations, n, b))
-            batch = next_batch()
             loss, cache = forward_loss(model, data.train_x[batch],
                                        data.train_y[batch])
             grads = backward(model, cache)

@@ -1,13 +1,18 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srslab.rng import make_stream
-from srslab.samplers import (draw_batch_epoch, draw_batch_replacement,
-                             draw_batch_srs, init_epoch_shuffle, init_srs,
-                             make_sampler, pool_histogram, refill_count,
-                             srs_draw_at)
+from srslab.samplers import (SAMPLER_KINDS, draw_batch_epoch,
+                             draw_batch_replacement, draw_batch_srs,
+                             draw_epoch, draw_replacement, draw_srs,
+                             init_epoch_shuffle, init_srs, make_sampler,
+                             pool_histogram, refill_count, srs_draw_at)
 
 
 def positions_of(state, values):
@@ -162,6 +167,16 @@ class TestEpochShuffle:
             )
             assert len(set(seen.tolist())) == (n // b) * b
 
+    def test_blocks_match_batch_by_batch_draws(self):
+        n, b = 21, 4  # five batches per epoch; the blocks cross epochs
+        blocks = init_epoch_shuffle(n, b, make_stream(9))
+        single = init_epoch_shuffle(n, b, make_stream(9))
+        rng_blocks, rng_single = make_stream(9, 1), make_stream(9, 1)
+        drawn = np.concatenate([draw_epoch(blocks, rng_blocks, k)
+                                for k in (3, 11, 1, 7)])
+        assert drawn.tolist() == [draw_batch_epoch(single, rng_single).tolist()
+                                  for _ in range(22)]
+
     def test_same_seed_gives_same_sequence(self):
         runs = []
         for _ in range(2):
@@ -204,16 +219,91 @@ class TestDeterminism:
     def test_identical_streams_give_identical_batches(self, kind):
         sequences = []
         for _ in range(2):
-            next_batch = make_sampler(kind, 12, 5, make_stream(99, 7))
-            sequences.append([next_batch().tolist() for _ in range(40)])
+            draw = make_sampler(kind, 12, 5, make_stream(99, 7))
+            sequences.append([draw(k).tolist() for k in (1, 7, 32)])
         assert sequences[0] == sequences[1]
 
     def test_distinct_stream_ids_differ(self):
         a = make_sampler("srs", 50, 10, make_stream(1, 0))
         b = make_sampler("srs", 50, 10, make_stream(1, 1))
-        assert [a().tolist() for _ in range(5)] != [b().tolist()
-                                                   for _ in range(5)]
+        assert a(5).tolist() != b(5).tolist()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_sampler("bogus", 10, 2, make_stream(0))
+
+
+def chi2_quantile_999(dof):
+    """Wilson-Hilferty approximation of the chi-square 99.9th percentile."""
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + 3.090232306167813 * math.sqrt(a)) ** 3
+
+
+def assert_uniform(outcomes, support):
+    """Every value in `support` occurs, and the frequencies pass a
+    chi-square test against the uniform distribution at the 0.1% level."""
+    index = {v: i for i, v in enumerate(support)}
+    counts = np.bincount([index[o] for o in outcomes], minlength=len(support))
+    assert counts.min() > 0
+    if len(support) > 1:
+        expected = len(outcomes) / len(support)
+        chi = ((counts - expected) ** 2 / expected).sum()
+        assert chi < chi2_quantile_999(len(support) - 1), (chi, counts)
+
+
+class TestSubsetRows:
+    # The first four (N, B) have B(B-1) <= 2N and take the rejection
+    # branch; the last three take the permutation branch.  B = N and
+    # B = 1 are edge cases; with B = N the orderings carry the test.
+    @pytest.mark.parametrize("n, b", [(6, 2), (5, 3), (7, 1), (3, 3),
+                                      (5, 4), (6, 5), (4, 4)])
+    def test_subsets_and_orderings_are_uniform(self, n, b):
+        rows = draw_replacement(n, b, make_stream(1234, n * 10 + b), 20_000)
+        tuples = [tuple(r) for r in rows.tolist()]
+        assert_uniform([tuple(sorted(t)) for t in tuples],
+                       list(itertools.combinations(range(n), b)))
+        assert_uniform(tuples, list(itertools.permutations(range(n), b)))
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_draw_returns_a_block_of_batches(self, kind):
+        n, b = 23, 5
+        draw = make_sampler(kind, n, b, make_stream(4))
+        for k in (0, 1, 9, 40):
+            block = draw(k)
+            assert block.dtype == np.int64
+            assert block.shape == (k, b)
+            assert ((block >= 0) & (block < n)).all()
+            if kind != "srs":
+                assert all(len(set(row)) == b for row in block.tolist())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=24), st.data())
+    def test_block_draws_keep_the_multiplicity_identity(self, n, data):
+        b = data.draw(st.integers(min_value=1, max_value=n))
+        blocks = data.draw(st.lists(st.integers(min_value=0, max_value=30),
+                                    max_size=5))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32))
+        state = init_srs(n, b)
+        rng = make_stream(seed)
+        drawn = np.zeros(n, dtype=np.int64)
+        for k in blocks:
+            drawn += np.bincount(draw_srs(state, rng, k).ravel(), minlength=n)
+            refills = [refill_count(i, state.draws_completed, n, b)
+                       for i in range(n)]
+            assert np.array_equal(np.bincount(state.slots, minlength=n),
+                                  1 + np.array(refills) - drawn)
+        assert state.draws_completed == sum(blocks)
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_large_block_memory_is_bounded(self, kind):
+        # A permutation per row held at once would take k*N*8 = 76 MiB.
+        n, b, k = 50_000, 1_000, 200
+        draw = make_sampler(kind, n, b, make_stream(8))
+        tracemalloc.start()
+        try:
+            block = draw(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (k, b)
+        assert peak < 8 * 2**20
