@@ -47,13 +47,12 @@ def coverage_table(report: ReplicaReport) -> CsvTable:
         table.append([r, report.iterations, stats.min_count, stats.max_count,
                       stats.mean_count, stats.untouched_fraction,
                       stats.chi_square])
-    per = report.per_replica
     table.append([
         "median",
         report.iterations,
         report.median_min_count,
-        float(statistics.median(s.max_count for s in per)),
-        float(statistics.median(s.mean_count for s in per)),
+        report.median_max_count,
+        report.median_mean_count,
         report.median_untouched_fraction,
         report.median_chi_square,
     ])

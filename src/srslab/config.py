@@ -45,14 +45,16 @@ class GridConfig:
     schedules: tuple[ScheduleSpec, ...] = ()
     seeds: tuple[int, ...] = (0,)
 
+    def resolved_schedules(self) -> list[tuple[tuple[int, ...], float]]:
+        """(milestones, decay) per schedule, a missing decay taken from
+        the base run."""
+        return [(milestones, self.base.lr_decay if decay is None else decay)
+                for milestones, decay in self.schedules]
+
     def cells(self) -> list[tuple[str, tuple[int, ...], float]]:
         """Grid cells in declaration order: (sampler, milestones, decay)."""
-        out = []
-        for sampler in self.samplers:
-            for milestones, decay in self.schedules:
-                out.append((sampler, milestones,
-                            self.base.lr_decay if decay is None else decay))
-        return out
+        return [(sampler, milestones, decay) for sampler in self.samplers
+                for milestones, decay in self.resolved_schedules()]
 
     def validate(self) -> None:
         self.base.validate()
@@ -69,11 +71,20 @@ class GridConfig:
             raise ValueRangeError("seeds must hold at least one entry")
         if any(s < 0 for s in self.seeds):
             raise ValueRangeError(f"seeds must be >= 0, got {self.seeds}")
-        for sampler, milestones, decay in self.cells():
+        for milestones, decay in self.resolved_schedules():
             try:
                 LrSchedule(self.base.lr, milestones, decay)
             except ValueError as exc:
                 raise ValueRangeError(f"schedules: {exc}") from exc
+        for key, values in (("samplers", self.samplers),
+                            ("schedules", self.resolved_schedules()),
+                            ("seeds", self.seeds)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueRangeError(
+                    f"{key}: {repeated[0]!r} appears more than once, which "
+                    f"would repeat grid cells"
+                )
 
 
 def _parse_int(key: str, text: str) -> int:
@@ -191,8 +202,6 @@ def _build_train_config(values: dict[str, Any]) -> TrainConfig:
     config = dataclasses.replace(TrainConfig(), **fields)
     try:
         config.validate()
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ValueRangeError(str(exc)) from exc
     return config

@@ -40,6 +40,8 @@ class ReplicaReport:
     seed: int
     per_replica: list[VisitStats] = field(default_factory=list)
     median_min_count: float = 0.0
+    median_max_count: float = 0.0
+    median_mean_count: float = 0.0
     median_untouched_fraction: float = 0.0
     median_chi_square: float = 0.0
 
@@ -118,6 +120,10 @@ def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
             batches = draw(min(block, iterations - done))
             counts += np.bincount(batches.ravel(), minlength=dataset_size)
         per_replica.append(visit_stats(counts, iterations, batch_size))
+
+    def median(stat: str) -> float:
+        return float(np.median([getattr(s, stat) for s in per_replica]))
+
     return ReplicaReport(
         kind=kind,
         dataset_size=dataset_size,
@@ -125,11 +131,9 @@ def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
         iterations=iterations,
         seed=seed,
         per_replica=per_replica,
-        median_min_count=float(np.median([s.min_count for s in per_replica])),
-        median_untouched_fraction=float(
-            np.median([s.untouched_fraction for s in per_replica])
-        ),
-        median_chi_square=float(
-            np.median([s.chi_square for s in per_replica])
-        ),
+        median_min_count=median("min_count"),
+        median_max_count=median("max_count"),
+        median_mean_count=median("mean_count"),
+        median_untouched_fraction=median("untouched_fraction"),
+        median_chi_square=median("chi_square"),
     )

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
@@ -12,15 +13,16 @@ from .nets import Mlp
 
 @dataclass
 class OptimState:
-    """Velocity buffers plus the two scalar knobs.
+    """Velocity buffer plus the two scalar knobs.
 
-    Weight decay is added to the gradient before the momentum buffer
-    (coupled decay) and applies to weight matrices only, never to biases.
+    `velocities` is one flat buffer laid out like `Mlp.flat`.  Weight
+    decay is added to the gradient before the momentum buffer (coupled
+    decay) and applies to weight matrices only, never to biases.
     """
 
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    velocities: dict[str, np.ndarray] = field(default_factory=dict)
+    momentum: float
+    weight_decay: float
+    velocities: np.ndarray
 
 
 def init_optim(model: Mlp, momentum: float = 0.9,
@@ -29,25 +31,25 @@ def init_optim(model: Mlp, momentum: float = 0.9,
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    velocities = {name: np.zeros_like(w) for name, w in model.param_items()}
-    return OptimState(momentum, weight_decay, velocities)
+    return OptimState(momentum, weight_decay, np.zeros_like(model.flat))
 
 
-def sgd_step(model: Mlp, grads: dict[str, np.ndarray], learning_rate: float,
-             opt: OptimState) -> Mlp:
-    """One in-place update: g' = g + wd*w (matrices only), v = mu*v + g',
-    w = w - lr*v.  With momentum and decay both zero this reduces to the
-    plain gradient step w - lr*g exactly."""
+def sgd_step(model: Mlp, grads: Mlp | Mapping[str, np.ndarray],
+             learning_rate: float, opt: OptimState) -> Mlp:
+    """One in-place update: v = mu*v + g + wd*w (matrices only), then
+    w = w - lr*v, each a whole-buffer op.  With momentum and decay both
+    zero this reduces to the plain gradient step w - lr*g exactly.
+    `grads` is a buffer from `backward` or a name -> array mapping."""
     if learning_rate <= 0.0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-    for name, w in model.param_items():
-        g = grads[name]
-        if opt.weight_decay != 0.0 and w.ndim > 1:
-            g = g + opt.weight_decay * w
-        v = opt.velocities[name]
-        v *= opt.momentum
-        v += g
-        w -= learning_rate * v
+    if not isinstance(grads, Mlp):
+        grads = Mlp(**grads)
+    v = opt.velocities
+    v *= opt.momentum
+    v += grads.flat
+    if opt.weight_decay != 0.0:
+        v[:model.weights.size] += opt.weight_decay * model.weights
+    model.flat -= learning_rate * v
     return model
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .data import gen_blobs
 from .nets import error_rate, backward, forward_loss, init_mlp
@@ -57,6 +58,10 @@ class TrainConfig:
                 "classes, ipc_train, ipc_test, dim, hidden, batch_size and "
                 "epochs must all be >= 1"
             )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.sigma_means <= 0 or self.sigma_noise <= 0:
             raise ValueError("sigma_means and sigma_noise must be > 0")
         if self.batch_size > self.train_size:
@@ -102,9 +107,11 @@ class TrainResult:
 
 
 def train(config: TrainConfig) -> TrainResult:
-    """Run the configured loop: draw a batch, forward/backward, SGD step at
-    the schedule's current rate; one MetricsRow per completed effective
-    epoch.  Deterministic given the config."""
+    """Run the configured loop: per effective epoch, draw and gather its
+    batches and set the schedule's rate; per batch, forward/backward into
+    one gradient buffer and an SGD step; one MetricsRow per completed
+    effective epoch.  Raises ValueError if an epoch's train loss is not
+    finite.  Deterministic given the config."""
     config.validate()
     data = gen_blobs(config.classes, config.ipc_train, config.ipc_test,
                      config.dim, config.sigma_means, config.sigma_noise,
@@ -115,6 +122,7 @@ def train(config: TrainConfig) -> TrainResult:
     model = init_mlp(config.dim, config.hidden, config.classes,
                      make_stream(config.seed, MODEL_STREAM))
     opt = init_optim(model, config.momentum, config.weight_decay)
+    grads = model.zeros_like()
     schedule = config.schedule()
     draw = make_sampler(config.sampler, n, b,
                         make_stream(config.seed, SAMPLER_STREAM))
@@ -122,16 +130,23 @@ def train(config: TrainConfig) -> TrainResult:
     result = TrainResult(config)
     iterations = 0
     for _ in range(config.epochs):
+        # Milestones are whole epochs, so the rate holds for all of this one.
+        rate = lr_at(schedule, effective_epoch(iterations, n, b))
         loss_sum = 0.0
-        for batch in draw(per_epoch):
-            rate = lr_at(schedule, effective_epoch(iterations, n, b))
-            loss, cache = forward_loss(model, data.train_x[batch],
-                                       data.train_y[batch])
-            grads = backward(model, cache)
+        batches = draw(per_epoch)
+        for x, y in zip(data.train_x[batches], data.train_y[batches]):
+            loss, cache = forward_loss(model, x, y)
+            backward(model, cache, grads)
             sgd_step(model, grads, rate, opt)
             loss_sum += loss
-            iterations += 1
+        iterations += per_epoch
         completed = effective_epoch(iterations, n, b)
+        if not math.isfinite(loss_sum):
+            raise ValueError(
+                f"training diverged: the train loss is not finite in "
+                f"effective epoch {completed} (iterations up to "
+                f"{iterations}); lower lr"
+            )
         result.rows.append(MetricsRow(
             effective_epoch=float(completed),
             learning_rate=lr_at(schedule, completed),

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srslab.config import (ConfigError, MalformedLineError, UnknownKeyError,
-                           ValueRangeError, parse_config, parse_grid_config,
-                           serialize_config)
+from srslab.cli import main
+from srslab.config import (KEY_DEFAULTS, ConfigError, MalformedLineError,
+                           UnknownKeyError, ValueRangeError, parse_config,
+                           parse_grid_config, serialize_config)
 from srslab.training import TrainConfig
 
 
@@ -78,6 +79,21 @@ class TestParseConfig:
     def test_bad_sampler_name(self, tmp_path):
         with pytest.raises(ValueRangeError):
             parse_config(write(tmp_path, "sampler = shuffle\n"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(key=st.sampled_from([k for k, v in KEY_DEFAULTS.items()
+                                if isinstance(v, float)]),
+           text=st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf",
+                                 "Infinity", "1e999", "-1e999"]))
+    def test_non_finite_floats_are_rejected(self, tmp_path_factory, key,
+                                            text):
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_text(f"{key} = {text}\nepochs = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(path)
+        assert main(["train", str(path), "--out",
+                     str(path.with_suffix(".csv"))]) == 2
+        assert not path.with_suffix(".csv").exists()
 
     def test_errors_are_all_config_errors(self, tmp_path):
         for text in ("x = 1\n", "nonsense\n", "lr = -3\n"):
@@ -171,6 +187,22 @@ class TestGridConfig:
             parse_grid_config(write(tmp_path, "seeds = -1\n"))
         with pytest.raises(ValueRangeError):
             parse_grid_config(write(tmp_path, "schedules = 9,5@0.1\n"))
+
+    def test_empty_schedules_would_repeat_a_cell(self, tmp_path):
+        # "|" splits into two empty schedules: the same cell twice
+        with pytest.raises(ValueRangeError, match="schedules"):
+            parse_grid_config(write(tmp_path, "schedules = |\n"))
+        with pytest.raises(ValueRangeError, match="schedules"):
+            parse_grid_config(write(tmp_path, "lr_decay = 0.5\n"
+                                    "schedules = 5,9 | 5,9@0.5\n"))
+
+    def test_repeated_sampler_is_rejected(self, tmp_path):
+        with pytest.raises(ValueRangeError, match="samplers"):
+            parse_grid_config(write(tmp_path, "samplers = srs, epoch, srs\n"))
+
+    def test_repeated_seed_is_rejected(self, tmp_path):
+        with pytest.raises(ValueRangeError, match="seeds"):
+            parse_grid_config(write(tmp_path, "seeds = 0, 1, 0\n"))
 
     def test_grid_keys_are_ignored_by_single_run_parse(self, tmp_path):
         text = "seeds = 0,1\nsampler = epoch\n"

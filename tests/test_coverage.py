@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from srslab.cli import coverage_table
+from srslab.csvio import format_cell
 from srslab.coverage import (chi_square_uniform,
                              expected_untouched_replacement,
                              simulate_coverage, visit_stats)
@@ -93,6 +95,17 @@ class TestSimulateCoverage:
         assert min(untouched) <= report.median_untouched_fraction <= max(untouched)
         assert min(chis) <= report.median_chi_square <= max(chis)
         assert min(mins) <= report.median_min_count <= max(mins)
+
+    def test_count_medians_match_numpy_median(self):
+        # an even replica count, so the median averages two middle values
+        report = simulate_coverage("srs", 60, 6, 15, seed=5, replicas=8)
+        per = report.per_replica
+        assert report.median_max_count == np.median([s.max_count for s in per])
+        assert report.median_mean_count == np.median([s.mean_count
+                                                      for s in per])
+        assert coverage_table(report).rows[-1][3:5] == [
+            format_cell(report.median_max_count),
+            format_cell(report.median_mean_count)]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -136,6 +136,29 @@ class TestBackward:
         assert np.all(grads["b1"] == 0.0)
 
 
+class TestParameterBuffer:
+    def test_named_parameters_are_views_of_one_buffer(self):
+        model = init_mlp(3, 5, 2, make_stream(6))
+        assert model.flat.size == 3 * 5 + 5 + 5 * 2 + 2
+        for name, w in model.param_items():
+            assert np.shares_memory(w, model.flat), name
+        model.flat[:] = 7.0
+        assert all((w == 7.0).all() for _, w in model.param_items())
+        # the weight slice holds both matrices and no bias
+        model.weights[:] = 0.0
+        assert not model.w1.any() and not model.w2.any()
+        assert (model.b1 == 7.0).all() and (model.b2 == 7.0).all()
+
+    def test_backward_fills_the_given_buffer(self):
+        rng = make_stream(12)
+        model, x, y = random_instance(rng)
+        fresh = backward(model, forward_loss(model, x, y)[1])
+        grads = model.zeros_like()
+        grads.flat[:] = np.nan  # every entry must be overwritten
+        assert backward(model, forward_loss(model, x, y)[1], grads) is grads
+        assert np.array_equal(grads.flat, fresh.flat)
+
+
 class TestPredict:
     def test_error_rate_counts_mismatches(self):
         model = Mlp(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))

@@ -64,6 +64,37 @@ class TestSgdStep:
         assert model.w1[0, 0] == 0.5  # decayed
         assert model.b1[0] == 1.0     # untouched
 
+    def test_velocities_are_one_buffer_in_the_model_layout(self):
+        model = Mlp(np.ones((2, 3)), np.ones(3), np.ones((3, 1)), np.ones(1))
+        opt = init_optim(model, momentum=0.5, weight_decay=0.25)
+        grads = model.zeros_like()
+        grads.flat[:] = 1.0
+        sgd_step(model, grads, 0.1, opt)
+        assert opt.velocities.shape == model.flat.shape
+        # v = g + wd*w on the weight slice, v = g on the biases
+        nw = model.weights.size
+        assert np.array_equal(opt.velocities[:nw], np.full(nw, 1.25))
+        assert np.array_equal(opt.velocities[nw:], np.ones(3 + 1))
+        assert np.array_equal(model.b1, np.full(3, 0.9))
+
+    def test_matches_the_per_parameter_reference_loop(self):
+        # reference: g' = g + wd*w on matrices, v = mu*v + g', w -= lr*v
+        rng = np.random.default_rng(9)
+        model = Mlp(rng.normal(size=(3, 4)), rng.normal(size=4),
+                    rng.normal(size=(4, 2)), rng.normal(size=2))
+        ref = {name: w.copy() for name, w in model.param_items()}
+        vel = {name: np.zeros_like(w) for name, w in ref.items()}
+        opt = init_optim(model, momentum=0.9, weight_decay=0.01)
+        for step in range(5):
+            grads = {name: rng.normal(size=w.shape) for name, w in ref.items()}
+            sgd_step(model, grads, 0.05, opt)
+            for name, w in ref.items():
+                g = grads[name] + (0.01 * w if w.ndim > 1 else 0.0)
+                vel[name] = 0.9 * vel[name] + g
+                w -= 0.05 * vel[name]
+        for name, w in model.param_items():
+            np.testing.assert_allclose(w, ref[name], rtol=1e-13, atol=1e-15)
+
     def test_rejects_nonpositive_rate(self):
         model = scalar_model(1.0)
         opt = init_optim(model)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srslab.rng import make_stream
-from srslab.samplers import (SAMPLER_KINDS, draw_batch_epoch,
+from srslab.samplers import (SAMPLER_KINDS, _rejection_is_cheaper,
+                             _subset_rows, draw_batch_epoch,
                              draw_batch_replacement, draw_batch_srs,
                              draw_epoch, draw_replacement, draw_srs,
                              init_epoch_shuffle, init_srs, make_sampler,
@@ -252,17 +254,34 @@ def assert_uniform(outcomes, support):
 
 
 class TestSubsetRows:
-    # The first four (N, B) have B(B-1) <= 2N and take the rejection
-    # branch; the last three take the permutation branch.  B = N and
-    # B = 1 are edge cases; with B = N the orderings carry the test.
+    # (6, 2), (7, 1) and (8, 3) take the rejection branch; (5, 3), (3, 3),
+    # (5, 4), (6, 5) and (4, 4) take the permutation branch (see
+    # test_branch_rule).  B = N and B = 1 are edge cases; with B = N the
+    # orderings carry the test.
     @pytest.mark.parametrize("n, b", [(6, 2), (5, 3), (7, 1), (3, 3),
-                                      (5, 4), (6, 5), (4, 4)])
+                                      (5, 4), (6, 5), (4, 4), (8, 3)])
     def test_subsets_and_orderings_are_uniform(self, n, b):
         rows = draw_replacement(n, b, make_stream(1234, n * 10 + b), 20_000)
         tuples = [tuple(r) for r in rows.tolist()]
         assert_uniform([tuple(sorted(t)) for t in tuples],
                        list(itertools.combinations(range(n), b)))
         assert_uniform(tuples, list(itertools.permutations(range(n), b)))
+
+    def test_branch_rule(self):
+        # Rejection draws only through rng.integers and permutation only
+        # through rng.permuted, so a stand-in exposing one of them shows
+        # which branch a shape takes.
+        rejection = [(6, 2), (7, 1), (8, 3), (1, 1), (1000, 32),
+                     (50_000, 64), (2000, 64), (100, 16)]
+        permutation = [(5, 3), (3, 3), (5, 4), (6, 5), (4, 4), (200, 32),
+                       (2000, 128), (50_000, 1000)]
+        rng = make_stream(3)
+        for shapes, method in ((rejection, "integers"),
+                               (permutation, "permuted")):
+            only = types.SimpleNamespace(**{method: getattr(rng, method)})
+            for n, b in shapes:
+                assert _rejection_is_cheaper(n, b) == (method == "integers")
+                assert _subset_rows(only, n, b, 2).shape == (2, b)
 
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
     def test_draw_returns_a_block_of_batches(self, kind):

@@ -1,14 +1,23 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import srslab.training
+from srslab.cli import main
 from srslab.nets import backward, forward_loss
-from srslab.optim import init_optim, lr_at, sgd_step
+from srslab.optim import effective_epoch, init_optim, lr_at, sgd_step
 from srslab.rng import make_stream
 from srslab.samplers import draw_batch_srs, init_srs
 from srslab.training import TrainConfig, train
 from test_nets import weighted_grads
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "srsbench" / "spans.py"
 
 SEPARABLE = TrainConfig(classes=2, ipc_train=50, ipc_test=20, dim=2,
                         sigma_means=3.0, sigma_noise=0.3, hidden=64,
@@ -68,6 +77,70 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             dataclasses.replace(SEPARABLE, momentum=1.5).validate()
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=4, max_value=30),
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=6),
+           st.lists(st.integers(min_value=1, max_value=7), unique=True,
+                    max_size=3))
+    def test_rate_of_every_iteration_follows_the_schedule(
+            self, ipc_train, batch_size, epochs, milestones):
+        config = dataclasses.replace(
+            SEPARABLE, ipc_train=ipc_train, batch_size=batch_size,
+            hidden=4, epochs=epochs, lr_milestones=tuple(sorted(milestones)))
+        rates = []
+
+        def recording_step(model, grads, rate, opt):
+            rates.append(rate)
+            return sgd_step(model, grads, rate, opt)
+
+        with mock.patch.object(srslab.training, "sgd_step", recording_step):
+            train(config)
+        n, schedule = config.train_size, config.schedule()
+        assert len(rates) == epochs * (n // batch_size)
+        assert rates == [lr_at(schedule, effective_epoch(i, n, batch_size))
+                         for i in range(len(rates))]
+
+    def test_diverging_run_raises_with_epoch_and_iteration(self, tmp_path,
+                                                           capsys):
+        # lr = 50 turns the loss into nan within the first 20 epochs
+        config = TrainConfig(lr=50.0, epochs=20)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"effective epoch \d+ .*iterations"):
+            train(config)
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("lr = 50\nepochs = 20\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        with np.errstate(all="ignore"):
+            assert main(["train", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [
+            err[-1]]
+        assert "not finite" in err[-1]
+        assert not out.exists()
+
+    def test_traced_run_has_one_span_per_iteration(self):
+        # The benchmark's trace replaces these names in srslab.training;
+        # train must keep calling them, once per iteration.
+        spec = importlib.util.spec_from_file_location("srsbench_spans",
+                                                      SPANS_PATH)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        config = dataclasses.replace(SEPARABLE, epochs=2)
+        tracer = spans.Tracer()
+        with spans.patched(tracer, lambda result: None):
+            rows = srslab.training.train(config).rows
+        counts = {}
+        for name, *_ in tracer.spans:
+            counts[name] = counts.get(name, 0) + 1
+        iterations = rows[-1].wall_iterations
+        assert iterations == 2 * (config.train_size // config.batch_size)
+        for name in ("nets.forward", "nets.backward", "optim.sgd_step"):
+            assert counts[name] == iterations, name
+        assert counts["nets.eval"] == 3  # once per epoch, then train accuracy
+        assert counts["samplers.srs.draw"] == 2
+        assert counts["data.gen_blobs"] == 1
+
 
 class TestDuplicateBatchTraining:
     def test_step_on_duplicate_batch_matches_weighted_dedup(self):
@@ -123,6 +196,8 @@ class TestTrainConfig:
             {"lr": -0.1},
             {"lr_decay": 1.0},
             {"lr_milestones": (10, 10)},
+            {"lr": float("nan")},
+            {"weight_decay": float("inf")},
             {"seed": -1},
             {"epochs": 0},
         ):
