@@ -49,9 +49,16 @@ class CountParams:
 
 def configs_one_epoch(params: CountParams) -> int:
     """Distinct batch compositions reachable across the positions of one
-    non-replacement epoch: sum of C(N - k*B, B) for k = 0..n_B-1."""
+    non-replacement epoch: sum of C(N - k*B, B) for k = 0..n_B-1.
+
+    B! * C(m, B) is the falling factorial perm(m, B), the product of the B
+    integers at one batch position, so the block products are summed and
+    the sum is divided once, exactly, by B!; no term divides on its own.
+    """
     n, b = params.dataset_size, params.batch_size
-    return sum(binomial(n - k * b, b) for k in range(params.batches_per_epoch))
+    blocks = sum(math.perm(n - k * b, b)
+                 for k in range(params.batches_per_epoch))
+    return blocks // math.factorial(b)
 
 
 def configs_without(params: CountParams) -> int:

@@ -34,17 +34,29 @@ def _check_sizes(dataset_size: int, batch_size: int) -> None:
         )
 
 
+def _distinct_probability(n: int, b: int) -> float:
+    """p = n! / ((n-b)! n^b): the chance that b i.i.d. uniform draws from
+    range(n) are all distinct, i.e. that a rejection row is accepted."""
+    return math.exp(math.lgamma(n + 1) - math.lgamma(n - b + 1)
+                    - b * math.log(n))
+
+
 def _rejection_is_cheaper(n: int, b: int) -> bool:
     """Whether rejection rows cost less than permutation rows at (n, b).
 
-    A rejection row is distinct with probability p = n! / ((n-b)! n^b),
+    A rejection row is accepted with probability p = _distinct_probability,
     so it generates b/p int64 entries on average; a permutation row
     generates n.  Both branches cost about the same per entry (measured
     on numpy 2.4 from (4, 4) to (50000, 1000)), so the one with fewer
     expected entries wins.
     """
-    log_p = math.lgamma(n + 1) - math.lgamma(n - b + 1) - b * math.log(n)
-    return math.log(b) - log_p <= math.log(n)
+    return b <= n * _distinct_probability(n, b)
+
+
+def _has_repeat(rows: np.ndarray) -> np.ndarray:
+    """Per row, whether it holds some value twice."""
+    ordered = np.sort(rows, axis=1)
+    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
 
 
 def _subset_rows(rng: np.random.Generator, n: int, b: int,
@@ -53,23 +65,33 @@ def _subset_rows(rng: np.random.Generator, n: int, b: int,
     ordered b-tuples of distinct values, so its set is a uniform b-subset.
 
     When `_rejection_is_cheaper`, rows are drawn with replacement and the
-    rows with a repeat are redrawn: conditioning i.i.d. uniform tuples on
+    rows with a repeat are replaced: conditioning i.i.d. uniform tuples on
     being distinct leaves them uniform, and that rule keeps the expected
-    number of draws per row, 1/p, below n/b.  Otherwise each row is the
-    first b entries of a uniform permutation of range(n).  Rows are made
-    in chunks of about BLOCK_ELEMENTS temporary entries, or one row of n.
+    number of draws per row, 1/p, below n/b.  After a first round that
+    fills every row in place, each round draws ceil(r/p) candidate rows
+    for the r rows still holding a repeat (at most a chunk's worth) and
+    fills those rows, in order, with the repeat-free candidates.  The
+    candidates are i.i.d. and which accepted ones are kept depends only on
+    the accept flags, so every kept row stays uniform over distinct
+    tuples.  Otherwise each row is the first b entries of a uniform
+    permutation of range(n).  Rows are made in chunks of about
+    BLOCK_ELEMENTS temporary entries, or one row of n.
     """
     out = np.empty((k, b), dtype=np.int64)
     sparse = _rejection_is_cheaper(n, b)
+    p = _distinct_probability(n, b)
     step = max(1, BLOCK_ELEMENTS // (b if sparse else n))
     for start in range(0, k, step):
         rows = out[start:start + step]
         if sparse:
-            redraw = np.arange(len(rows))
+            rows[:] = rng.integers(0, n, size=rows.shape)
+            redraw = np.flatnonzero(_has_repeat(rows))
             while redraw.size:
-                rows[redraw] = rng.integers(0, n, size=(redraw.size, b))
-                ordered = np.sort(rows[redraw], axis=1)
-                redraw = redraw[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+                want = min(math.ceil(redraw.size / p), step)
+                drawn = rng.integers(0, n, size=(want, b))
+                kept = drawn[~_has_repeat(drawn)][:redraw.size]
+                rows[redraw[:len(kept)]] = kept
+                redraw = redraw[len(kept):]
         else:
             perms = np.tile(np.arange(n, dtype=np.int64), (len(rows), 1))
             rows[:] = rng.permuted(perms, axis=1, out=perms)[:, :b]

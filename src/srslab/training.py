@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .data import gen_blobs
 from .nets import error_rate, backward, forward_loss, init_mlp
 from .optim import LrSchedule, effective_epoch, init_optim, lr_at, sgd_step
@@ -129,31 +131,35 @@ def train(config: TrainConfig) -> TrainResult:
 
     result = TrainResult(config)
     iterations = 0
-    for _ in range(config.epochs):
-        # Milestones are whole epochs, so the rate holds for all of this one.
-        rate = lr_at(schedule, effective_epoch(iterations, n, b))
-        loss_sum = 0.0
-        batches = draw(per_epoch)
-        for x, y in zip(data.train_x[batches], data.train_y[batches]):
-            loss, cache = forward_loss(model, x, y)
-            backward(model, cache, grads)
-            sgd_step(model, grads, rate, opt)
-            loss_sum += loss
-        iterations += per_epoch
-        completed = effective_epoch(iterations, n, b)
-        if not math.isfinite(loss_sum):
-            raise ValueError(
-                f"training diverged: the train loss is not finite in "
-                f"effective epoch {completed} (iterations up to "
-                f"{iterations}); lower lr"
-            )
-        result.rows.append(MetricsRow(
-            effective_epoch=float(completed),
-            learning_rate=lr_at(schedule, completed),
-            train_loss=loss_sum / per_epoch,
-            test_error=error_rate(model, data.test_x, data.test_y),
-            wall_iterations=iterations,
-        ))
+    # A diverging run overflows in numpy before the loss guard below
+    # reports it in one error, so those warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            # Milestones are whole epochs, so the rate holds for all of
+            # this one.
+            rate = lr_at(schedule, effective_epoch(iterations, n, b))
+            loss_sum = 0.0
+            batches = draw(per_epoch)
+            for x, y in zip(data.train_x[batches], data.train_y[batches]):
+                loss, cache = forward_loss(model, x, y)
+                backward(model, cache, grads)
+                sgd_step(model, grads, rate, opt)
+                loss_sum += loss
+            iterations += per_epoch
+            completed = effective_epoch(iterations, n, b)
+            if not math.isfinite(loss_sum):
+                raise ValueError(
+                    f"training diverged: the train loss is not finite in "
+                    f"effective epoch {completed} (iterations up to "
+                    f"{iterations}); lower lr"
+                )
+            result.rows.append(MetricsRow(
+                effective_epoch=float(completed),
+                learning_rate=lr_at(schedule, completed),
+                train_loss=loss_sum / per_epoch,
+                test_error=error_rate(model, data.test_x, data.test_y),
+                wall_iterations=iterations,
+            ))
     result.final_train_accuracy = 1.0 - error_rate(model, data.train_x,
                                                    data.train_y)
     return result

@@ -2,6 +2,8 @@ import hashlib
 
 import pytest
 
+import srslab.cli
+import srslab.counting
 from srslab.cli import main
 from srslab.csvio import read_csv
 from srslab.optim import LrSchedule, lr_at
@@ -45,6 +47,33 @@ class TestCount:
         value = line.split()[1]
         assert len(value) == int(line.split()[3]) > 200
         assert value.isdigit()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["5", "2"],
+         "N 5\nB 2\nbatches_per_epoch 2\nepochs 1\n"
+         "configs_one_epoch 13 digits 2\nconfigs_without 13 digits 2\n"
+         "configs_with 20 digits 2\n"),
+        (["4", "2", "--epochs", "3"],
+         "N 4\nB 2\nbatches_per_epoch 2\nepochs 3\n"
+         "configs_one_epoch 7 digits 1\nconfigs_without 21 digits 2\n"
+         "configs_with 36 digits 2\n"),
+    ], ids=["5-2", "4-2-epochs-3"])
+    def test_one_epoch_sum_is_evaluated_once(self, monkeypatch, capsys,
+                                             argv, expected):
+        # Spy on the sum under both names it is reachable by, so a second
+        # evaluation through configs_without would count too.
+        calls = []
+        one_epoch = srslab.counting.configs_one_epoch
+
+        def counted(params):
+            calls.append(params)
+            return one_epoch(params)
+
+        monkeypatch.setattr(srslab.counting, "configs_one_epoch", counted)
+        monkeypatch.setattr(srslab.cli, "configs_one_epoch", counted)
+        assert main(["count", *argv]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == expected
 
     def test_invalid_params_exit_nonzero(self, capsys):
         assert main(["count", "2", "5"]) == 2

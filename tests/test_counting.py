@@ -72,6 +72,19 @@ class TestConfigCounts:
     def test_one_epoch_single_batch(self):
         assert configs_one_epoch(CountParams(9, 9)) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=400), st.data())
+    def test_one_epoch_matches_the_binomial_sum(self, n, data):
+        # B = 1, B = N and N mod B != 0 all fall in this range.
+        b = data.draw(st.integers(min_value=1, max_value=n))
+        assert configs_one_epoch(CountParams(n, b)) == sum(
+            math.comb(n - k * b, b) for k in range(n // b))
+
+    def test_one_epoch_matches_the_binomial_sum_at_large_n(self):
+        n, b = 100_000, 1_000
+        assert configs_one_epoch(CountParams(n, b)) == sum(
+            math.comb(n - k * b, b) for k in range(n // b))
+
     def test_without_four_two_three(self):
         assert configs_without(CountParams(4, 2, epochs=3)) == 21
 

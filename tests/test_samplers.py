@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srslab.rng import make_stream
-from srslab.samplers import (SAMPLER_KINDS, _rejection_is_cheaper,
+from srslab.samplers import (BLOCK_ELEMENTS, SAMPLER_KINDS,
+                             _distinct_probability, _rejection_is_cheaper,
                              _subset_rows, draw_batch_epoch,
                              draw_batch_replacement, draw_batch_srs,
                              draw_epoch, draw_replacement, draw_srs,
@@ -312,6 +313,23 @@ class TestSubsetRows:
             assert np.array_equal(np.bincount(state.slots, minlength=n),
                                   1 + np.array(refills) - drawn)
         assert state.draws_completed == sum(blocks)
+
+    def test_redraw_rounds_stay_within_a_chunk(self):
+        # (1000, 72) takes rejection with p = 0.073, so about 420 of a
+        # chunk's 455 rows fail the first round; refilling them all at
+        # once would draw ceil(420 / p) rows, about 417k entries.
+        n, b = 1000, 72
+        assert _rejection_is_cheaper(n, b)
+        assert 0.07 < _distinct_probability(n, b) < 0.075
+        rng = make_stream(9)
+        tracemalloc.start()
+        try:
+            rows = draw_replacement(n, b, rng, 2 * (BLOCK_ELEMENTS // b))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(len(set(row)) == b for row in rows.tolist())
+        assert peak - rows.nbytes < 8 * BLOCK_ELEMENTS * 8
 
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
     def test_large_block_memory_is_bounded(self, kind):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -118,6 +119,20 @@ class TestTrainLoop:
             err[-1]]
         assert "not finite" in err[-1]
         assert not out.exists()
+
+    def test_diverging_run_prints_only_its_error(self, tmp_path, capsys):
+        # No errstate here: train itself keeps numpy's overflow warnings
+        # quiet, and any warning that still escapes fails the test.
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("lr = 50\nepochs = 20\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", str(cfg), "--out",
+                         str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: training diverged")
 
     def test_traced_run_has_one_span_per_iteration(self):
         # The benchmark's trace replaces these names in srslab.training;
