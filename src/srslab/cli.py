@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import statistics
 import sys
 
@@ -11,6 +10,7 @@ from .config import GridConfig, parse_config, parse_grid_config
 from .counting import CountParams, configs_one_epoch, configs_with
 from .coverage import ReplicaReport, simulate_coverage
 from .csvio import CsvTable, write_csv
+from .samplers import SAMPLER_KINDS
 from .training import TrainResult, train
 
 COVERAGE_HEADER = ["replica", "iterations", "min_count", "max_count",
@@ -68,20 +68,16 @@ def train_table(result: TrainResult) -> CsvTable:
 
 
 def run_grid(grid: GridConfig) -> CsvTable:
-    """Run the sampler x schedule x seed cross-product; one row per cell
-    run, then one median row per cell (seed column says `median`)."""
-    grid.validate()
+    """Run the sampler x schedule x seed cross-product of a validated grid;
+    one row per cell run, then one median row per cell (seed column says
+    `median`)."""
     table = CsvTable(header=list(COMPARE_HEADER))
     medians = []
     for sampler, milestones, decay in grid.cells():
         milestones_text = ",".join(str(m) for m in milestones)
         finals, bests = [], []
         for seed in grid.seeds:
-            config = dataclasses.replace(
-                grid.base, sampler=sampler, lr_milestones=milestones,
-                lr_decay=decay, seed=seed,
-            )
-            result = train(config)
+            result = train(grid.cell_config(sampler, milestones, decay, seed))
             finals.append(result.final_test_error)
             bests.append(result.best_test_error)
             table.append([sampler, milestones_text, decay, seed,
@@ -151,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     coverage = sub.add_parser(
         "coverage", help="Monte-Carlo sample-visit statistics")
-    coverage.add_argument("kind", choices=("srs", "epoch", "replacement"))
+    coverage.add_argument("kind", choices=SAMPLER_KINDS)
     coverage.add_argument("dataset_size", type=int)
     coverage.add_argument("batch_size", type=int)
     coverage.add_argument("--iterations", type=int, required=True)

@@ -12,8 +12,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .optim import LrSchedule
-from .samplers import SAMPLER_KINDS
+from .csvio import format_cell
 from .training import TrainConfig
 
 # (milestones, decay); decay None means "use the base lr_decay".
@@ -38,12 +37,13 @@ class ValueRangeError(ConfigError):
 
 @dataclass
 class GridConfig:
-    """Cross-product recipe for the comparison grid."""
+    """Cross-product recipe for the comparison grid: each (cell, seed)
+    run is `base` with its sampler, schedule and seed set."""
 
     base: TrainConfig
-    samplers: tuple[str, ...] = ("epoch", "srs")
-    schedules: tuple[ScheduleSpec, ...] = ()
-    seeds: tuple[int, ...] = (0,)
+    samplers: tuple[str, ...]
+    schedules: tuple[ScheduleSpec, ...]
+    seeds: tuple[int, ...]
 
     def resolved_schedules(self) -> list[tuple[tuple[int, ...], float]]:
         """(milestones, decay) per schedule, a missing decay taken from
@@ -56,110 +56,77 @@ class GridConfig:
         return [(sampler, milestones, decay) for sampler in self.samplers
                 for milestones, decay in self.resolved_schedules()]
 
+    def cell_config(self, sampler: str, milestones: tuple[int, ...],
+                    decay: float, seed: int) -> TrainConfig:
+        """The single run of one grid cell at one seed."""
+        return dataclasses.replace(self.base, sampler=sampler,
+                                   lr_milestones=milestones, lr_decay=decay,
+                                   seed=seed)
+
     def validate(self) -> None:
-        self.base.validate()
-        if not self.samplers:
-            raise ValueRangeError("samplers must name at least one kind")
-        for s in self.samplers:
-            if s not in SAMPLER_KINDS:
-                raise ValueRangeError(
-                    f"samplers: {s!r} is not one of {SAMPLER_KINDS}"
-                )
-        if not self.schedules:
-            raise ValueRangeError("schedules must hold at least one entry")
-        if not self.seeds:
-            raise ValueRangeError("seeds must hold at least one entry")
-        if any(s < 0 for s in self.seeds):
-            raise ValueRangeError(f"seeds must be >= 0, got {self.seeds}")
-        for milestones, decay in self.resolved_schedules():
-            try:
-                LrSchedule(self.base.lr, milestones, decay)
-            except ValueError as exc:
-                raise ValueRangeError(f"schedules: {exc}") from exc
+        """Reject an empty or repeating grid key, then every (cell, seed)
+        run that `TrainConfig.validate` rejects, before any run starts."""
         for key, values in (("samplers", self.samplers),
                             ("schedules", self.resolved_schedules()),
                             ("seeds", self.seeds)):
+            if not values:
+                raise ValueRangeError(f"{key} must hold at least one entry")
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueRangeError(
                     f"{key}: {repeated[0]!r} appears more than once, which "
                     f"would repeat grid cells"
                 )
+        for cell in self.cells():
+            for seed in self.seeds:
+                try:
+                    self.cell_config(*cell, seed).validate()
+                except ValueError as exc:
+                    raise ValueRangeError(
+                        f"grid cell {cell} seed {seed}: {exc}"
+                    ) from exc
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueRangeError(f"{key}: expected an integer, got {text!r}")
+def _tuple_of(parse_item: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """Parser of a comma-separated tuple; blank text is the empty tuple."""
+    def parse(text: str) -> tuple:
+        if not text.strip():
+            return ()
+        return tuple(parse_item(part.strip()) for part in text.split(","))
+    return parse
 
 
-def _parse_float(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueRangeError(f"{key}: expected a number, got {text!r}")
+_parse_ints = _tuple_of(int)
 
 
-def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(_parse_int(key, part.strip()) for part in text.split(","))
-
-
-def _parse_kind(key: str, text: str) -> str:
-    if text not in SAMPLER_KINDS:
-        raise ValueRangeError(
-            f"{key}: {text!r} is not one of {SAMPLER_KINDS}"
-        )
-    return text
-
-
-def _parse_kind_list(key: str, text: str) -> tuple[str, ...]:
-    return tuple(_parse_kind(key, part.strip()) for part in text.split(","))
-
-
-def _parse_schedules(key: str, text: str) -> tuple[ScheduleSpec, ...]:
+def _parse_schedules(text: str) -> tuple[ScheduleSpec, ...]:
+    """`milestones[@decay] | ...`; a schedule without `@` has decay None."""
     specs = []
     for part in text.split("|"):
-        part = part.strip()
-        if "@" in part:
-            milestones_text, decay_text = part.rsplit("@", 1)
-            decay: float | None = _parse_float(key, decay_text.strip())
-        else:
-            milestones_text, decay = part, None
-        specs.append((_parse_int_list(key, milestones_text), decay))
+        milestones, at, decay = part.partition("@")
+        specs.append((_parse_ints(milestones), float(decay) if at else None))
     return tuple(specs)
 
 
-_TRAIN_PARSERS: dict[str, Callable[[str, str], Any]] = {
-    "sampler": _parse_kind,
-    "classes": _parse_int,
-    "ipc_train": _parse_int,
-    "ipc_test": _parse_int,
-    "dim": _parse_int,
-    "sigma_means": _parse_float,
-    "sigma_noise": _parse_float,
-    "hidden": _parse_int,
-    "batch_size": _parse_int,
-    "lr": _parse_float,
-    "momentum": _parse_float,
-    "weight_decay": _parse_float,
-    "lr_milestones": _parse_int_list,
-    "lr_decay": _parse_float,
-    "epochs": _parse_int,
-    "seed": _parse_int,
+# Field type, as written in the dataclass -> parser of the value text; a
+# parser raises ValueError on text it cannot read.
+_PARSERS_BY_TYPE: dict[str, Callable[[str], Any]] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "tuple[int, ...]": _parse_ints,
+    "tuple[str, ...]": _tuple_of(str),
+    "tuple[ScheduleSpec, ...]": _parse_schedules,
 }
 
-_GRID_PARSERS: dict[str, Callable[[str, str], Any]] = {
-    "samplers": _parse_kind_list,
-    "schedules": _parse_schedules,
-    "seeds": _parse_int_list,
-}
+# The config keys are the dataclass fields, key -> field type: every
+# TrainConfig field, plus the grid's fields other than its base run.
+_TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_GRID_KEYS = {f.name: f.type for f in dataclasses.fields(GridConfig)
+              if f.name != "base"}
 
 KEY_DEFAULTS: dict[str, Any] = {
-    **{k: getattr(TrainConfig(), k) for k in _TRAIN_PARSERS},
+    **dataclasses.asdict(TrainConfig()),
     "samplers": ("epoch", "srs"),
     "schedules": None,  # falls back to (lr_milestones, lr_decay)
     "seeds": None,      # falls back to (seed,)
@@ -179,8 +146,8 @@ def _parse_lines(text: str) -> dict[str, Any]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        parser = _TRAIN_PARSERS.get(key) or _GRID_PARSERS.get(key)
-        if parser is None:
+        type_name = _TRAIN_KEYS.get(key) or _GRID_KEYS.get(key)
+        if type_name is None:
             raise UnknownKeyError(
                 f"line {lineno}: unknown key {key!r}"
             )
@@ -188,7 +155,12 @@ def _parse_lines(text: str) -> dict[str, Any]:
             raise MalformedLineError(
                 f"line {lineno}: duplicate key {key!r}"
             )
-        values[key] = parser(key, value)
+        try:
+            values[key] = _PARSERS_BY_TYPE[type_name](value)
+        except ValueError:
+            raise ValueRangeError(
+                f"line {lineno}: {key}: expected {type_name}, got {value!r}"
+            ) from None
     return values
 
 
@@ -198,7 +170,7 @@ def _read(path) -> str:
 
 
 def _build_train_config(values: dict[str, Any]) -> TrainConfig:
-    fields = {k: v for k, v in values.items() if k in _TRAIN_PARSERS}
+    fields = {k: v for k, v in values.items() if k in _TRAIN_KEYS}
     config = dataclasses.replace(TrainConfig(), **fields)
     try:
         config.validate()
@@ -232,13 +204,9 @@ def parse_grid_config(path) -> GridConfig:
 def serialize_config(config: TrainConfig) -> str:
     """Canonical normal form: every run key, schema order, one per line."""
     lines = []
-    for key in _TRAIN_PARSERS:
-        value = getattr(config, key)
-        if key == "lr_milestones":
-            text = ",".join(str(m) for m in value)
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        text = (",".join(str(v) for v in value) if isinstance(value, tuple)
+                else format_cell(value))
+        lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"

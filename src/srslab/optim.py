@@ -16,8 +16,8 @@ class OptimState:
     """Velocity buffer plus the two scalar knobs.
 
     `velocities` is one flat buffer laid out like `Mlp.flat`.  Weight
-    decay is added to the gradient before the momentum buffer (coupled
-    decay) and applies to weight matrices only, never to biases.
+    decay is coupled: `wd*w` enters the velocity (see `sgd_step`), and it
+    applies to weight matrices only, never to biases.
     """
 
     momentum: float

@@ -199,3 +199,24 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "median final=" in out
         assert out.count("\n") == 2  # one line per cell
+
+    def test_bad_later_cell_exits_before_any_training(self, tmp_path,
+                                                      capsys, monkeypatch):
+        calls, real_train = [], srslab.cli.train
+
+        def spy(config):
+            calls.append(config)
+            return real_train(config)
+
+        monkeypatch.setattr(srslab.cli, "train", spy)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TINY_TRAIN + "samplers = epoch\n"
+                       "schedules = 2@0.1 | 0,2@0.1\nseeds = 0,1\n",
+                       encoding="utf-8")
+        out_path = tmp_path / "grid.csv"
+        assert main(["compare", str(cfg), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: grid cell ('epoch', (0, 2), 0.1)")
+        assert calls == []
+        assert not out_path.exists()

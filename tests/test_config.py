@@ -188,6 +188,18 @@ class TestGridConfig:
         with pytest.raises(ValueRangeError):
             parse_grid_config(write(tmp_path, "schedules = 9,5@0.1\n"))
 
+    @pytest.mark.parametrize("line", [
+        "schedules = 10,10",          # milestones not increasing
+        "schedules = 0,5",            # milestone before the first epoch
+        "schedules = 5@1.0",          # decay that does not decay
+        "seeds = 0, -1",
+        "samplers = epoch, shuffle",
+    ])
+    def test_grid_rejects_what_a_single_run_rejects(self, tmp_path, line):
+        # the values TrainConfig.validate rejects, placed in grid keys
+        with pytest.raises(ValueRangeError, match=r"^grid cell \(.*\) seed"):
+            parse_grid_config(write(tmp_path, line + "\n"))
+
     def test_empty_schedules_would_repeat_a_cell(self, tmp_path):
         # "|" splits into two empty schedules: the same cell twice
         with pytest.raises(ValueRangeError, match="schedules"):
