@@ -8,7 +8,8 @@ import sys
 
 from .config import GridConfig, parse_config, parse_grid_config
 from .counting import CountParams, configs_one_epoch, configs_with
-from .coverage import ReplicaReport, simulate_coverage
+from .coverage import (ReplicaReport, expected_untouched_replacement,
+                       simulate_coverage)
 from .csvio import CsvTable, write_csv
 from .samplers import SAMPLER_KINDS
 from .training import TrainResult, train
@@ -97,14 +98,15 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    report = simulate_coverage(args.kind, args.dataset_size, args.batch_size,
-                               args.iterations, args.seed, args.replicas)
+    n, b, t = args.dataset_size, args.batch_size, args.iterations
+    report = simulate_coverage(args.kind, n, b, t, args.seed, args.replicas)
     write_csv(coverage_table(report), args.out)
-    print(f"{args.kind} N={args.dataset_size} B={args.batch_size} "
-          f"T={args.iterations} replicas={args.replicas}: "
+    print(f"{args.kind} N={n} B={b} T={t} replicas={args.replicas}: "
           f"median untouched_fraction={report.median_untouched_fraction} "
           f"median min_count={report.median_min_count} "
-          f"median chi_square={report.median_chi_square}")
+          f"median chi_square={report.median_chi_square} "
+          f"replacement closed form="
+          f"{expected_untouched_replacement(n, b, t)}")
     return 0
 
 

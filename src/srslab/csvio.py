@@ -32,10 +32,6 @@ class CsvTable:
             )
         self.rows.append(row)
 
-    def column(self, name: str) -> list[str]:
-        idx = self.header.index(name)
-        return [row[idx] for row in self.rows]
-
 
 def format_cell(value) -> str:
     if isinstance(value, float):

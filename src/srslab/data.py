@@ -28,6 +28,17 @@ class SyntheticDataset:
         return self.train_x.shape[0]
 
 
+def check_blob_params(classes: int, ipc_train: int, ipc_test: int, dim: int,
+                      sigma_means: float, sigma_noise: float) -> None:
+    """Raise ValueError unless every size is >= 1 and both scales are > 0."""
+    if min(classes, ipc_train, ipc_test, dim) < 1:
+        raise ValueError(
+            "classes, ipc_train, ipc_test and dim must all be >= 1"
+        )
+    if sigma_means <= 0 or sigma_noise <= 0:
+        raise ValueError("sigma_means and sigma_noise must be > 0")
+
+
 def gen_blobs(classes: int, ipc_train: int, ipc_test: int, dim: int,
               sigma_means: float, sigma_noise: float,
               seed: int) -> SyntheticDataset:
@@ -37,12 +48,8 @@ def gen_blobs(classes: int, ipc_train: int, ipc_test: int, dim: int,
     Deterministic per seed; labels come in class-major blocks with exactly
     ipc points per class in each split.
     """
-    if min(classes, ipc_train, ipc_test, dim) < 1:
-        raise ValueError(
-            "classes, ipc_train, ipc_test and dim must all be >= 1"
-        )
-    if sigma_means <= 0 or sigma_noise <= 0:
-        raise ValueError("sigma_means and sigma_noise must be > 0")
+    check_blob_params(classes, ipc_train, ipc_test, dim, sigma_means,
+                      sigma_noise)
     rng = make_stream(seed)
     means = rng.normal(0.0, sigma_means, size=(classes, dim))
     train_x = np.repeat(means, ipc_train, axis=0) + rng.normal(

@@ -25,12 +25,17 @@ class OptimState:
     velocities: np.ndarray
 
 
-def init_optim(model: Mlp, momentum: float = 0.9,
-               weight_decay: float = 0.0005) -> OptimState:
+def check_optim_params(momentum: float, weight_decay: float) -> None:
+    """Raise ValueError unless 0 <= momentum < 1 and weight_decay >= 0."""
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+
+
+def init_optim(model: Mlp, momentum: float = 0.9,
+               weight_decay: float = 0.0005) -> OptimState:
+    check_optim_params(momentum, weight_decay)
     return OptimState(momentum, weight_decay, np.zeros_like(model.flat))
 
 

@@ -145,16 +145,19 @@ def _srs_rows(state: SrsPool, positions: np.ndarray) -> np.ndarray:
 def srs_draw_at(state: SrsPool, positions: Sequence[int]) -> np.ndarray:
     """Apply one draw that reads the slots at `positions`, then refill.
 
-    `positions` index into the current slot array and must be distinct;
-    this forces a draw onto chosen slots (replays, walkthrough tests)
-    through the same row loop `draw_srs` uses.  Returns the drawn dataset
-    indices in position order.
+    `positions` index into the current slot array, so they must be
+    distinct and lie in [0, dataset_size); this forces a draw onto chosen
+    slots (replays, walkthrough tests) through the same row loop
+    `draw_srs` uses.  Returns the drawn dataset indices in position order.
     """
     b = state.batch_size
     if len(positions) != b:
         raise ValueError(f"expected {b} positions, got {len(positions)}")
     if len(set(positions)) != b:
         raise ValueError("slot positions must be distinct within one draw")
+    if not 0 <= min(positions) <= max(positions) < state.dataset_size:
+        raise ValueError(
+            f"slot positions must lie in [0, {state.dataset_size})")
     return _srs_rows(state, np.asarray([positions], dtype=np.int64))[0]
 
 
@@ -230,24 +233,12 @@ def draw_epoch(state: EpochShuffleState, rng: np.random.Generator,
     return out.reshape(k, b)
 
 
-def draw_batch_epoch(state: EpochShuffleState,
-                     rng: np.random.Generator) -> np.ndarray:
-    """One batch of `draw_epoch`."""
-    return draw_epoch(state, rng, 1)[0]
-
-
 def draw_replacement(dataset_size: int, batch_size: int,
                      rng: np.random.Generator, k: int) -> np.ndarray:
     """k batches of `batch_size` distinct indices, each uniform over all
     subsets of that size; nothing carries over between draws."""
     _check_sizes(dataset_size, batch_size)
     return _subset_rows(rng, dataset_size, batch_size, k)
-
-
-def draw_batch_replacement(dataset_size: int, batch_size: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """One batch of `draw_replacement`."""
-    return draw_replacement(dataset_size, batch_size, rng, 1)[0]
 
 
 def make_sampler(kind: str, dataset_size: int, batch_size: int,

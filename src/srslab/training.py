@@ -7,11 +7,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import gen_blobs
+from .data import check_blob_params, gen_blobs
 from .nets import error_rate, backward, forward_loss, init_mlp
-from .optim import LrSchedule, effective_epoch, init_optim, lr_at, sgd_step
+from .optim import (LrSchedule, check_optim_params, effective_epoch,
+                    init_optim, lr_at, sgd_step)
 from .rng import make_stream
-from .samplers import SAMPLER_KINDS, make_sampler
+from .samplers import SAMPLER_KINDS, _check_sizes, make_sampler
 
 # Stream ids carved out of the one config seed; the dataset stream is the
 # default stream 0 inside gen_blobs.
@@ -54,27 +55,16 @@ class TrainConfig:
             raise ValueError(
                 f"sampler must be one of {SAMPLER_KINDS}, got {self.sampler!r}"
             )
-        if min(self.classes, self.ipc_train, self.ipc_test, self.dim,
-               self.hidden, self.batch_size, self.epochs) < 1:
-            raise ValueError(
-                "classes, ipc_train, ipc_test, dim, hidden, batch_size and "
-                "epochs must all be >= 1"
-            )
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.sigma_means <= 0 or self.sigma_noise <= 0:
-            raise ValueError("sigma_means and sigma_noise must be > 0")
-        if self.batch_size > self.train_size:
-            raise ValueError(
-                f"batch_size {self.batch_size} exceeds the training split "
-                f"({self.train_size} samples)"
-            )
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        check_blob_params(self.classes, self.ipc_train, self.ipc_test,
+                          self.dim, self.sigma_means, self.sigma_noise)
+        if min(self.hidden, self.epochs) < 1:
+            raise ValueError("hidden and epochs must both be >= 1")
+        _check_sizes(self.train_size, self.batch_size)
+        check_optim_params(self.momentum, self.weight_decay)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if any(m < 1 for m in self.lr_milestones):

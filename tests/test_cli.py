@@ -5,6 +5,7 @@ import pytest
 import srslab.cli
 import srslab.counting
 from srslab.cli import main
+from srslab.coverage import expected_untouched_replacement
 from srslab.csvio import read_csv
 from srslab.optim import LrSchedule, lr_at
 
@@ -110,6 +111,13 @@ class TestCoverage:
         table = read_csv(out_path)
         median_untouched = float(table.rows[-1][5])
         assert median_untouched == pytest.approx(0.34867844, abs=0.01)
+
+    def test_summary_prints_replacement_closed_form(self, tmp_path, capsys):
+        main(["coverage", "srs", "1000", "32", "--iterations", "31",
+              "--replicas", "2", "--out", str(tmp_path / "c.csv")])
+        out = capsys.readouterr().out
+        closed = expected_untouched_replacement(1000, 32, 31)
+        assert out.rstrip("\n").endswith(f" replacement closed form={closed}")
 
     def test_bad_params_exit_nonzero(self, tmp_path, capsys):
         code = main(["coverage", "srs", "4", "9", "--iterations", "1",

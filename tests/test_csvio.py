@@ -47,10 +47,6 @@ class TestCsvTable:
         with pytest.raises(ValueError):
             from_string("")
 
-    def test_column_accessor(self):
-        table = CsvTable(header=["a", "b"], rows=[["1", "2"], ["3", "4"]])
-        assert table.column("b") == ["2", "4"]
-
     def test_numpy_floats_format_like_python_floats(self):
         import numpy as np
 

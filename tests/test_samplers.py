@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from srslab.rng import make_stream
 from srslab.samplers import (BLOCK_ELEMENTS, SAMPLER_KINDS,
                              _distinct_probability, _rejection_is_cheaper,
-                             _subset_rows, draw_batch_epoch,
-                             draw_batch_replacement, draw_batch_srs,
-                             draw_epoch, draw_replacement, draw_srs,
+                             _subset_rows, draw_batch_srs, draw_epoch,
+                             draw_replacement, draw_srs,
                              init_epoch_shuffle, init_srs, make_sampler,
                              pool_histogram, refill_count, srs_draw_at)
 
@@ -98,6 +97,14 @@ class TestSrsDraw:
         with pytest.raises(ValueError):
             srs_draw_at(state, [1, 1])
 
+    def test_forced_positions_must_lie_in_the_pool(self):
+        for positions in ([-1, 4], [0, 5]):
+            state = init_srs(5, 2)
+            with pytest.raises(ValueError):
+                srs_draw_at(state, positions)
+            assert state.slots.tolist() == [0, 1, 2, 3, 4]
+            assert state.cursor == 0
+
     def test_forced_positions_must_match_batch_size(self):
         state = init_srs(4, 2)
         with pytest.raises(ValueError):
@@ -146,17 +153,17 @@ class TestEpochShuffle:
     def test_one_epoch_partitions_when_divisible(self):
         state = init_epoch_shuffle(4, 2, make_stream(5))
         rng = make_stream(5, 1)
-        seen = np.concatenate([draw_batch_epoch(state, rng) for _ in range(2)])
+        seen = np.concatenate([draw_epoch(state, rng, 1)[0] for _ in range(2)])
         assert sorted(seen) == [0, 1, 2, 3]
 
     def test_partial_batch_is_dropped(self):
         state = init_epoch_shuffle(5, 2, make_stream(6))
         rng = make_stream(6, 1)
-        epoch = [draw_batch_epoch(state, rng) for _ in range(2)]
+        epoch = [draw_epoch(state, rng, 1)[0] for _ in range(2)]
         seen = np.concatenate(epoch)
         assert len(set(seen.tolist())) == 4  # exactly one index unused
         # third draw starts a fresh permutation
-        nxt = draw_batch_epoch(state, rng)
+        nxt = draw_epoch(state, rng, 1)[0]
         assert state.position == 2
         assert len(nxt) == 2
 
@@ -166,7 +173,7 @@ class TestEpochShuffle:
         rng = make_stream(7, 1)
         for _ in range(3):  # three epochs
             seen = np.concatenate(
-                [draw_batch_epoch(state, rng) for _ in range(n // b)]
+                [draw_epoch(state, rng, 1)[0] for _ in range(n // b)]
             )
             assert len(set(seen.tolist())) == (n // b) * b
 
@@ -177,7 +184,7 @@ class TestEpochShuffle:
         rng_blocks, rng_single = make_stream(9, 1), make_stream(9, 1)
         drawn = np.concatenate([draw_epoch(blocks, rng_blocks, k)
                                 for k in (3, 11, 1, 7)])
-        assert drawn.tolist() == [draw_batch_epoch(single, rng_single).tolist()
+        assert drawn.tolist() == [draw_epoch(single, rng_single, 1)[0].tolist()
                                   for _ in range(22)]
 
     def test_same_seed_gives_same_sequence(self):
@@ -185,7 +192,7 @@ class TestEpochShuffle:
         for _ in range(2):
             state = init_epoch_shuffle(9, 2, make_stream(11))
             rng = make_stream(11, 1)
-            runs.append([draw_batch_epoch(state, rng).tolist()
+            runs.append([draw_epoch(state, rng, 1)[0].tolist()
                          for _ in range(10)])
         assert runs[0] == runs[1]
 
@@ -194,14 +201,14 @@ class TestBatchedReplacement:
     def test_full_batch_is_a_permutation(self):
         rng = make_stream(2)
         for _ in range(20):
-            batch = draw_batch_replacement(5, 5, rng)
+            batch = draw_replacement(5, 5, rng, 1)[0]
             assert sorted(batch) == [0, 1, 2, 3, 4]
 
     def test_single_draw_frequencies_are_balanced(self):
         rng = make_stream(42)
         hits = np.zeros(2, dtype=np.int64)
         for _ in range(10_000):
-            hits[draw_batch_replacement(2, 1, rng)[0]] += 1
+            hits[draw_replacement(2, 1, rng, 1)[0, 0]] += 1
         freq = hits[0] / 10_000
         assert abs(freq - 0.5) <= 0.02
 
@@ -209,12 +216,12 @@ class TestBatchedReplacement:
         rng = make_stream(3)
         seen = set()
         for _ in range(2_000):
-            seen.add(frozenset(draw_batch_replacement(5, 2, rng).tolist()))
+            seen.add(frozenset(draw_replacement(5, 2, rng, 1)[0].tolist()))
         assert len(seen) == 10  # C(5,2)
 
     def test_rejects_oversized_batch(self):
         with pytest.raises(ValueError):
-            draw_batch_replacement(3, 4, make_stream(0))
+            draw_replacement(3, 4, make_stream(0), 1)
 
 
 class TestDeterminism:

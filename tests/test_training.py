@@ -215,6 +215,11 @@ class TestTrainConfig:
             {"weight_decay": float("inf")},
             {"seed": -1},
             {"epochs": 0},
+            {"dim": 0},
+            {"hidden": 0},
+            {"batch_size": TrainConfig().train_size + 1},
+            {"momentum": 1.0},
+            {"weight_decay": -1e-3},
         ):
             with pytest.raises(ValueError):
                 dataclasses.replace(TrainConfig(), **bad).validate()
