@@ -5,19 +5,16 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+from dataclasses import astuple, fields
 
 from .config import GridConfig, parse_config, parse_grid_config
 from .counting import CountParams, configs_one_epoch, configs_with
-from .coverage import (ReplicaReport, expected_untouched_replacement,
+from .coverage import (STATS, ReplicaReport, expected_untouched_replacement,
                        simulate_coverage)
 from .csvio import CsvTable, write_csv
 from .samplers import SAMPLER_KINDS
-from .training import TrainResult, train
+from .training import MetricsRow, TrainResult, train
 
-COVERAGE_HEADER = ["replica", "iterations", "min_count", "max_count",
-                   "mean_count", "untouched_fraction", "chi_square"]
-TRAIN_HEADER = ["effective_epoch", "learning_rate", "train_loss",
-                "test_error", "wall_iterations"]
 COMPARE_HEADER = ["sampler", "milestones", "decay", "seed",
                   "final_test_error", "best_test_error"]
 
@@ -43,28 +40,19 @@ def count_report(dataset_size: int, batch_size: int, epochs: int) -> str:
 
 def coverage_table(report: ReplicaReport) -> CsvTable:
     """One row per replica plus a final cross-replica median row."""
-    table = CsvTable(header=list(COVERAGE_HEADER))
+    table = CsvTable(header=["replica", "iterations", *STATS])
     for r, stats in enumerate(report.per_replica):
-        table.append([r, report.iterations, stats.min_count, stats.max_count,
-                      stats.mean_count, stats.untouched_fraction,
-                      stats.chi_square])
-    table.append([
-        "median",
-        report.iterations,
-        report.median_min_count,
-        report.median_max_count,
-        report.median_mean_count,
-        report.median_untouched_fraction,
-        report.median_chi_square,
-    ])
+        table.append([r, report.iterations,
+                      *(getattr(stats, stat) for stat in STATS)])
+    table.append(["median", report.iterations,
+                  *(report.median(stat) for stat in STATS)])
     return table
 
 
 def train_table(result: TrainResult) -> CsvTable:
-    table = CsvTable(header=list(TRAIN_HEADER))
+    table = CsvTable(header=[f.name for f in fields(MetricsRow)])
     for row in result.rows:
-        table.append([row.effective_epoch, row.learning_rate, row.train_loss,
-                      row.test_error, row.wall_iterations])
+        table.append(astuple(row))
     return table
 
 
@@ -103,8 +91,8 @@ def _cmd_coverage(args) -> int:
     write_csv(coverage_table(report), args.out)
     print(f"{args.kind} N={n} B={b} T={t} replicas={args.replicas}: "
           f"median untouched_fraction={report.median_untouched_fraction} "
-          f"median min_count={report.median_min_count} "
-          f"median chi_square={report.median_chi_square} "
+          f"median min_count={report.median('min_count')} "
+          f"median chi_square={report.median('chi_square')} "
           f"replacement closed form="
           f"{expected_untouched_replacement(n, b, t)}")
     return 0

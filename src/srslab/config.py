@@ -15,8 +15,8 @@ from typing import Any, Callable
 from .csvio import format_cell
 from .training import TrainConfig
 
-# (milestones, decay); decay None means "use the base lr_decay".
-ScheduleSpec = tuple[tuple[int, ...], float | None]
+# (milestones, decay) of one grid schedule.
+ScheduleSpec = tuple[tuple[int, ...], float]
 
 
 class ConfigError(ValueError):
@@ -38,23 +38,18 @@ class ValueRangeError(ConfigError):
 @dataclass
 class GridConfig:
     """Cross-product recipe for the comparison grid: each (cell, seed)
-    run is `base` with its sampler, schedule and seed set."""
+    run is `base` with its sampler, schedule and seed set.  Every schedule
+    carries its decay; the file reader fills in a missing one."""
 
     base: TrainConfig
     samplers: tuple[str, ...]
     schedules: tuple[ScheduleSpec, ...]
     seeds: tuple[int, ...]
 
-    def resolved_schedules(self) -> list[tuple[tuple[int, ...], float]]:
-        """(milestones, decay) per schedule, a missing decay taken from
-        the base run."""
-        return [(milestones, self.base.lr_decay if decay is None else decay)
-                for milestones, decay in self.schedules]
-
     def cells(self) -> list[tuple[str, tuple[int, ...], float]]:
         """Grid cells in declaration order: (sampler, milestones, decay)."""
         return [(sampler, milestones, decay) for sampler in self.samplers
-                for milestones, decay in self.resolved_schedules()]
+                for milestones, decay in self.schedules]
 
     def cell_config(self, sampler: str, milestones: tuple[int, ...],
                     decay: float, seed: int) -> TrainConfig:
@@ -67,7 +62,7 @@ class GridConfig:
         """Reject an empty or repeating grid key, then every (cell, seed)
         run that `TrainConfig.validate` rejects, before any run starts."""
         for key, values in (("samplers", self.samplers),
-                            ("schedules", self.resolved_schedules()),
+                            ("schedules", self.schedules),
                             ("seeds", self.seeds)):
             if not values:
                 raise ValueRangeError(f"{key} must hold at least one entry")
@@ -100,7 +95,8 @@ _parse_ints = _tuple_of(int)
 
 
 def _parse_schedules(text: str) -> tuple[ScheduleSpec, ...]:
-    """`milestones[@decay] | ...`; a schedule without `@` has decay None."""
+    """`milestones[@decay] | ...`; a schedule without `@` has decay None
+    until `parse_grid_config` fills in the base run's lr_decay."""
     specs = []
     for part in text.split("|"):
         milestones, at, decay = part.partition("@")
@@ -189,12 +185,12 @@ def parse_grid_config(path) -> GridConfig:
     schedules / seeds)."""
     values = _parse_lines(_read(path))
     base = _build_train_config(values)
+    schedules = values.get("schedules", ((base.lr_milestones, None),))
     grid = GridConfig(
         base=base,
         samplers=values.get("samplers", KEY_DEFAULTS["samplers"]),
-        schedules=values.get(
-            "schedules", ((base.lr_milestones, base.lr_decay),)
-        ),
+        schedules=tuple((milestones, base.lr_decay if decay is None else decay)
+                        for milestones, decay in schedules),
         seeds=values.get("seeds", (base.seed,)),
     )
     grid.validate()

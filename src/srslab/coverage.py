@@ -8,7 +8,7 @@ expectation; medians across replicas summarize a report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class VisitStats:
     """Per-sample draw counts of one replica plus derived summaries."""
 
     draw_counts: np.ndarray
-    iterations: int
     min_count: int
     max_count: int
     mean_count: float
@@ -29,25 +28,25 @@ class VisitStats:
     chi_square: float
 
 
+# The summary statistics: every VisitStats field after draw_counts, in
+# field order, which is also the column order of the coverage CSV.
+STATS = tuple(f.name for f in fields(VisitStats))[1:]
+
+
 @dataclass
 class ReplicaReport:
     """Stats for every replica of one (sampler, N, B, T, seed) cell."""
 
-    kind: str
-    dataset_size: int
-    batch_size: int
     iterations: int
-    seed: int
-    per_replica: list[VisitStats] = field(default_factory=list)
-    median_min_count: float = 0.0
-    median_max_count: float = 0.0
-    median_mean_count: float = 0.0
-    median_untouched_fraction: float = 0.0
-    median_chi_square: float = 0.0
+    per_replica: list[VisitStats]
+
+    def median(self, stat: str) -> float:
+        """Median of one STATS entry across the replicas."""
+        return float(np.median([getattr(s, stat) for s in self.per_replica]))
 
     @property
-    def replicas(self) -> int:
-        return len(self.per_replica)
+    def median_untouched_fraction(self) -> float:
+        return self.median("untouched_fraction")
 
 
 def chi_square_uniform(draw_counts: np.ndarray, iterations: int,
@@ -87,7 +86,6 @@ def visit_stats(draw_counts: np.ndarray, iterations: int,
         chi = 0.0  # degenerate zero-draw run: nothing to test
     return VisitStats(
         draw_counts=counts,
-        iterations=iterations,
         min_count=int(counts.min()),
         max_count=int(counts.max()),
         mean_count=float(counts.mean()),
@@ -120,20 +118,4 @@ def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
             batches = draw(min(block, iterations - done))
             counts += np.bincount(batches.ravel(), minlength=dataset_size)
         per_replica.append(visit_stats(counts, iterations, batch_size))
-
-    def median(stat: str) -> float:
-        return float(np.median([getattr(s, stat) for s in per_replica]))
-
-    return ReplicaReport(
-        kind=kind,
-        dataset_size=dataset_size,
-        batch_size=batch_size,
-        iterations=iterations,
-        seed=seed,
-        per_replica=per_replica,
-        median_min_count=median("min_count"),
-        median_max_count=median("max_count"),
-        median_mean_count=median("mean_count"),
-        median_untouched_fraction=median("untouched_fraction"),
-        median_chi_square=median("chi_square"),
-    )
+    return ReplicaReport(iterations, per_replica)

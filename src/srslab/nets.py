@@ -64,11 +64,16 @@ class ForwardCache:
     probs: np.ndarray
 
 
+def check_mlp_sizes(dim: int, hidden: int, classes: int) -> None:
+    """Raise ValueError unless every layer width is >= 1."""
+    if min(dim, hidden, classes) < 1:
+        raise ValueError("dim, hidden and classes must all be >= 1")
+
+
 def init_mlp(dim: int, hidden: int, classes: int,
              rng: np.random.Generator) -> Mlp:
     """Gaussian weights scaled by 1/sqrt(fan-in), zero biases."""
-    if min(dim, hidden, classes) < 1:
-        raise ValueError("dim, hidden and classes must all be >= 1")
+    check_mlp_sizes(dim, hidden, classes)
     w1 = rng.normal(0.0, 1.0, size=(dim, hidden)) / np.sqrt(dim)
     w2 = rng.normal(0.0, 1.0, size=(hidden, classes)) / np.sqrt(hidden)
     return Mlp(w1, np.zeros(hidden), w2, np.zeros(classes))

@@ -67,6 +67,10 @@ class LrSchedule:
     decay_factor: float = 0.1
 
     def __post_init__(self) -> None:
+        if any(m < 1 for m in self.milestones):
+            raise ValueError(
+                f"milestones must be positive epochs, got {self.milestones}"
+            )
         if self.initial_rate <= 0.0:
             raise ValueError(f"initial_rate must be > 0, got {self.initial_rate}")
         if not 0.0 < self.decay_factor < 1.0:

@@ -113,8 +113,11 @@ class SrsPool:
     dataset_size: int
     batch_size: int
     slots: np.ndarray
-    cursor: int = 0
     draws_completed: int = 0
+
+    @property
+    def cursor(self) -> int:
+        return self.draws_completed * self.batch_size % self.dataset_size
 
 
 def init_srs(dataset_size: int, batch_size: int) -> SrsPool:
@@ -137,7 +140,6 @@ def _srs_rows(state: SrsPool, positions: np.ndarray) -> np.ndarray:
     for row, pos, fill in zip(out, positions, fills):
         row[:] = state.slots[pos]
         state.slots[pos] = fill
-    state.cursor = (state.cursor + k * b) % n
     state.draws_completed += k
     return out
 

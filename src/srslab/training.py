@@ -8,7 +8,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import check_blob_params, gen_blobs
-from .nets import error_rate, backward, forward_loss, init_mlp
+from .nets import (backward, check_mlp_sizes, error_rate, forward_loss,
+                   init_mlp)
 from .optim import (LrSchedule, check_optim_params, effective_epoch,
                     init_optim, lr_at, sgd_step)
 from .rng import make_stream
@@ -61,17 +62,14 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         check_blob_params(self.classes, self.ipc_train, self.ipc_test,
                           self.dim, self.sigma_means, self.sigma_noise)
-        if min(self.hidden, self.epochs) < 1:
-            raise ValueError("hidden and epochs must both be >= 1")
+        check_mlp_sizes(self.dim, self.hidden, self.classes)
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         _check_sizes(self.train_size, self.batch_size)
         check_optim_params(self.momentum, self.weight_decay)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if any(m < 1 for m in self.lr_milestones):
-            raise ValueError(
-                f"milestones must be positive epochs, got {self.lr_milestones}"
-            )
-        self.schedule()  # validates lr, lr_decay, milestone ordering
+        self.schedule()  # validates lr, lr_decay and the milestones
 
 
 @dataclass

@@ -169,6 +169,7 @@ class TestGridConfig:
     def test_schedule_without_decay_uses_base_decay(self, tmp_path):
         text = "lr_decay = 0.25\nschedules = 5,9 | 2,5@0.5\n"
         grid = parse_grid_config(write(tmp_path, text))
+        assert grid.schedules == (((5, 9), 0.25), ((2, 5), 0.5))
         assert grid.cells() == [
             ("epoch", (5, 9), 0.25), ("epoch", (2, 5), 0.5),
             ("srs", (5, 9), 0.25), ("srs", (2, 5), 0.5),

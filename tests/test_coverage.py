@@ -3,7 +3,7 @@ import pytest
 
 from srslab.cli import coverage_table
 from srslab.csvio import format_cell
-from srslab.coverage import (chi_square_uniform,
+from srslab.coverage import (STATS, chi_square_uniform,
                              expected_untouched_replacement,
                              simulate_coverage, visit_stats)
 
@@ -84,7 +84,7 @@ class TestSimulateCoverage:
             assert np.array_equal(sa.draw_counts, sb.draw_counts)
             assert sa.chi_square == sb.chi_square
             assert sa.untouched_fraction == sb.untouched_fraction
-        assert a.median_chi_square == b.median_chi_square
+        assert a.median("chi_square") == b.median("chi_square")
 
     def test_medians_lie_within_replica_ranges(self):
         report = simulate_coverage("replacement", 60, 6, 15, seed=5,
@@ -93,19 +93,18 @@ class TestSimulateCoverage:
         chis = [s.chi_square for s in report.per_replica]
         mins = [s.min_count for s in report.per_replica]
         assert min(untouched) <= report.median_untouched_fraction <= max(untouched)
-        assert min(chis) <= report.median_chi_square <= max(chis)
-        assert min(mins) <= report.median_min_count <= max(mins)
+        assert min(chis) <= report.median("chi_square") <= max(chis)
+        assert min(mins) <= report.median("min_count") <= max(mins)
 
     def test_count_medians_match_numpy_median(self):
         # an even replica count, so the median averages two middle values
         report = simulate_coverage("srs", 60, 6, 15, seed=5, replicas=8)
         per = report.per_replica
-        assert report.median_max_count == np.median([s.max_count for s in per])
-        assert report.median_mean_count == np.median([s.mean_count
-                                                      for s in per])
-        assert coverage_table(report).rows[-1][3:5] == [
-            format_cell(report.median_max_count),
-            format_cell(report.median_mean_count)]
+        medians = [np.median([getattr(s, stat) for s in per])
+                   for stat in STATS]
+        assert [report.median(stat) for stat in STATS] == medians
+        assert coverage_table(report).rows[-1] == [
+            "median", "15", *(format_cell(m) for m in medians)]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -133,6 +133,8 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             LrSchedule(0.1, (10,), 1.0)
         with pytest.raises(ValueError):
+            LrSchedule(0.1, (0, 5), 0.1)
+        with pytest.raises(ValueError):
             lr_at(LrSchedule(0.1, (), 0.1), -1)
 
     @settings(max_examples=50)
