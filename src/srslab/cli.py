@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple, dataclass, fields, replace
+
+import numpy as np
 
 from .config import GridConfig, parse_config, parse_grid_config
 from .counting import CountParams, configs_one_epoch, configs_with
@@ -13,10 +14,20 @@ from .coverage import (STATS, ReplicaReport, expected_untouched_replacement,
                        simulate_coverage)
 from .csvio import CsvTable, write_csv
 from .samplers import SAMPLER_KINDS
-from .training import MetricsRow, TrainResult, train
+from .training import MetricsRow, train
 
-COMPARE_HEADER = ["sampler", "milestones", "decay", "seed",
-                  "final_test_error", "best_test_error"]
+
+@dataclass
+class CompareRow:
+    """One compare CSV row, one column per field: a run, or the median
+    of one cell's runs, whose seed reads `median`."""
+
+    sampler: str
+    milestones: str
+    decay: float
+    seed: int | str
+    final_test_error: float
+    best_test_error: float
 
 
 def count_report(dataset_size: int, batch_size: int, epochs: int) -> str:
@@ -49,34 +60,30 @@ def coverage_table(report: ReplicaReport) -> CsvTable:
     return table
 
 
-def train_table(result: TrainResult) -> CsvTable:
-    table = CsvTable(header=[f.name for f in fields(MetricsRow)])
-    for row in result.rows:
-        table.append(astuple(row))
+def records_table(record_type, records) -> CsvTable:
+    """One column per dataclass field, one row per record."""
+    table = CsvTable(header=[f.name for f in fields(record_type)])
+    for record in records:
+        table.append(astuple(record))
     return table
 
 
-def run_grid(grid: GridConfig) -> CsvTable:
-    """Run the sampler x schedule x seed cross-product of a validated grid;
-    one row per cell run, then one median row per cell (seed column says
-    `median`)."""
-    table = CsvTable(header=list(COMPARE_HEADER))
-    medians = []
-    for sampler, milestones, decay in grid.cells():
-        milestones_text = ",".join(str(m) for m in milestones)
-        finals, bests = [], []
-        for seed in grid.seeds:
-            result = train(grid.cell_config(sampler, milestones, decay, seed))
-            finals.append(result.final_test_error)
-            bests.append(result.best_test_error)
-            table.append([sampler, milestones_text, decay, seed,
-                          result.final_test_error, result.best_test_error])
-        medians.append([sampler, milestones_text, decay, "median",
-                        float(statistics.median(finals)),
-                        float(statistics.median(bests))])
-    for row in medians:
-        table.append(row)
-    return table
+def run_grid(grid: GridConfig) -> list[CompareRow]:
+    """Train every run of a validated grid in `grid.runs()` order, one row
+    each, then add one median row per cell."""
+    rows = []
+    for run in grid.runs():
+        result = train(run)
+        rows.append(CompareRow(
+            run.sampler, ",".join(map(str, run.lr_milestones)), run.lr_decay,
+            run.seed, result.final_test_error, result.best_test_error))
+    n = len(grid.seeds)
+    cells = [rows[i:i + n] for i in range(0, len(rows), n)]
+    return rows + [replace(
+        cell[0], seed="median",
+        final_test_error=float(np.median([r.final_test_error for r in cell])),
+        best_test_error=float(np.median([r.best_test_error for r in cell])),
+    ) for cell in cells]
 
 
 def _cmd_count(args) -> int:
@@ -100,7 +107,7 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_train(args) -> int:
     result = train(parse_config(args.config))
-    write_csv(train_table(result), args.out)
+    write_csv(records_table(MetricsRow, result.rows), args.out)
     last = result.rows[-1]
     print(f"{result.config.sampler}: {len(result.rows)} effective epochs, "
           f"final train_loss={last.train_loss} "
@@ -109,13 +116,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    grid = parse_grid_config(args.config)
-    table = run_grid(grid)
-    write_csv(table, args.out)
-    for row in table.rows:
-        if row[COMPARE_HEADER.index("seed")] == "median":
-            print(f"{row[0]} ({row[1]}) decay {row[2]}: "
-                  f"median final={row[4]} best={row[5]}")
+    rows = run_grid(parse_grid_config(args.config))
+    write_csv(records_table(CompareRow, rows), args.out)
+    for row in rows:
+        if row.seed == "median":
+            print(f"{row.sampler} ({row.milestones}) decay {row.decay}: "
+                  f"median final={row.final_test_error} "
+                  f"best={row.best_test_error}")
     return 0
 
 

@@ -1,9 +1,9 @@
 """Flat `key = value` experiment configs.
 
-One key per line, `#` starts a comment, unknown keys are rejected, and
-every key has a documented default (see KEY_DEFAULTS / the README).  The
-same file format drives single runs and comparison grids; grid-only keys
-are simply ignored by single runs.
+One key per line, `#` starts a comment, unknown keys are rejected.  A
+missing run key takes its `TrainConfig` default; a missing grid key falls
+back as `parse_grid_config` says.  The same file format drives single
+runs and comparison grids; grid-only keys are ignored by single runs.
 """
 
 from __future__ import annotations
@@ -51,12 +51,14 @@ class GridConfig:
         return [(sampler, milestones, decay) for sampler in self.samplers
                 for milestones, decay in self.schedules]
 
-    def cell_config(self, sampler: str, milestones: tuple[int, ...],
-                    decay: float, seed: int) -> TrainConfig:
-        """The single run of one grid cell at one seed."""
-        return dataclasses.replace(self.base, sampler=sampler,
-                                   lr_milestones=milestones, lr_decay=decay,
-                                   seed=seed)
+    def runs(self) -> list[TrainConfig]:
+        """Every (cell, seed) run: cells in `cells()` order, each cell's
+        seeds in turn."""
+        return [dataclasses.replace(self.base, sampler=sampler,
+                                    lr_milestones=milestones, lr_decay=decay,
+                                    seed=seed)
+                for sampler, milestones, decay in self.cells()
+                for seed in self.seeds]
 
     def validate(self) -> None:
         """Reject an empty or repeating grid key, then every (cell, seed)
@@ -72,14 +74,14 @@ class GridConfig:
                     f"{key}: {repeated[0]!r} appears more than once, which "
                     f"would repeat grid cells"
                 )
-        for cell in self.cells():
-            for seed in self.seeds:
-                try:
-                    self.cell_config(*cell, seed).validate()
-                except ValueError as exc:
-                    raise ValueRangeError(
-                        f"grid cell {cell} seed {seed}: {exc}"
-                    ) from exc
+        for run in self.runs():
+            try:
+                run.validate()
+            except ValueError as exc:
+                cell = (run.sampler, run.lr_milestones, run.lr_decay)
+                raise ValueRangeError(
+                    f"grid cell {cell} seed {run.seed}: {exc}"
+                ) from exc
 
 
 def _tuple_of(parse_item: Callable[[str], Any]) -> Callable[[str], tuple]:
@@ -120,13 +122,6 @@ _PARSERS_BY_TYPE: dict[str, Callable[[str], Any]] = {
 _TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 _GRID_KEYS = {f.name: f.type for f in dataclasses.fields(GridConfig)
               if f.name != "base"}
-
-KEY_DEFAULTS: dict[str, Any] = {
-    **dataclasses.asdict(TrainConfig()),
-    "samplers": ("epoch", "srs"),
-    "schedules": None,  # falls back to (lr_milestones, lr_decay)
-    "seeds": None,      # falls back to (seed,)
-}
 
 
 def _parse_lines(text: str) -> dict[str, Any]:
@@ -182,13 +177,14 @@ def parse_config(path) -> TrainConfig:
 
 def parse_grid_config(path) -> GridConfig:
     """Read a comparison-grid config (base run keys plus samplers /
-    schedules / seeds)."""
+    schedules / seeds).  Missing grid keys default to samplers epoch, srs;
+    the base run's schedule; and the base run's seed."""
     values = _parse_lines(_read(path))
     base = _build_train_config(values)
     schedules = values.get("schedules", ((base.lr_milestones, None),))
     grid = GridConfig(
         base=base,
-        samplers=values.get("samplers", KEY_DEFAULTS["samplers"]),
+        samplers=values.get("samplers", ("epoch", "srs")),
         schedules=tuple((milestones, base.lr_decay if decay is None else decay)
                         for milestones, decay in schedules),
         seeds=values.get("seeds", (base.seed,)),

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .samplers import check_sizes
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), exact at any size.  Unlike `math.comb`, k > n is an error,
@@ -34,11 +36,7 @@ class CountParams:
     epochs: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.batch_size <= self.dataset_size:
-            raise ValueError(
-                f"need 1 <= batch_size <= dataset_size, got "
-                f"B={self.batch_size}, N={self.dataset_size}"
-            )
+        check_sizes(self.dataset_size, self.batch_size)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -81,7 +79,7 @@ def config_ratio(dataset_size: int, batch_size: int, k: int) -> Fraction:
     k: each of the B numerator factors exceeds its denominator counterpart
     once k >= 1.
     """
-    _ = CountParams(dataset_size, batch_size)  # validates N, B
+    check_sizes(dataset_size, batch_size)
     n_b = dataset_size // batch_size
     if not 0 <= k <= n_b - 1:
         raise ValueError(

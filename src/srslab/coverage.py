@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .rng import make_stream
-from .samplers import BLOCK_ELEMENTS, _check_sizes, make_sampler
+from .samplers import BLOCK_ELEMENTS, check_sizes, make_sampler
 
 
 @dataclass
@@ -70,7 +70,7 @@ def expected_untouched_replacement(dataset_size: int, batch_size: int,
                                    iterations: int) -> float:
     """Exact per-sample probability of never being drawn in T iterations of
     batched replacement: (1 - B/N)**T."""
-    _check_sizes(dataset_size, batch_size)
+    check_sizes(dataset_size, batch_size)
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     return (1.0 - batch_size / dataset_size) ** iterations
@@ -107,7 +107,7 @@ def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    _check_sizes(dataset_size, batch_size)
+    check_sizes(dataset_size, batch_size)
     block = max(1, BLOCK_ELEMENTS // batch_size)
     per_replica = []
     for r in range(replicas):

@@ -9,6 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .nets import Mlp
+from .samplers import check_sizes
 
 
 @dataclass
@@ -102,10 +103,5 @@ def effective_epoch(iterations_done: int, dataset_size: int,
     """
     if iterations_done < 0:
         raise ValueError(f"iterations_done must be >= 0, got {iterations_done}")
-    per_epoch = dataset_size // batch_size
-    if per_epoch == 0:
-        raise ValueError(
-            f"no full batch fits: dataset_size={dataset_size} < "
-            f"batch_size={batch_size}"
-        )
-    return Fraction(iterations_done, per_epoch)
+    check_sizes(dataset_size, batch_size)
+    return Fraction(iterations_done, dataset_size // batch_size)

@@ -15,8 +15,10 @@ def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
 
     The same pair yields the same output sequence on every run and
     platform; distinct stream_ids of one seed give statistically
-    independent streams (SeedSequence spawn keys).  Seeds must be
-    nonnegative integers.
+    independent streams (SeedSequence spawn keys).  Raises ValueError
+    for a negative seed.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
     return np.random.Generator(np.random.PCG64(ss))

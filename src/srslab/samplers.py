@@ -23,7 +23,8 @@ SAMPLER_KINDS = ("srs", "epoch", "replacement")
 BLOCK_ELEMENTS = 1 << 15
 
 
-def _check_sizes(dataset_size: int, batch_size: int) -> None:
+def check_sizes(dataset_size: int, batch_size: int) -> None:
+    """Raise ValueError unless 1 <= batch_size <= dataset_size."""
     if dataset_size < 1:
         raise ValueError(f"dataset_size must be >= 1, got {dataset_size}")
     if batch_size < 1:
@@ -126,7 +127,7 @@ def init_srs(dataset_size: int, batch_size: int) -> SrsPool:
     Sequence indices are the identity order 0..dataset_size-1, fixed for
     the lifetime of the pool.
     """
-    _check_sizes(dataset_size, batch_size)
+    check_sizes(dataset_size, batch_size)
     return SrsPool(dataset_size, batch_size,
                    np.arange(dataset_size, dtype=np.int64))
 
@@ -211,7 +212,7 @@ class EpochShuffleState:
 
 def init_epoch_shuffle(dataset_size: int, batch_size: int,
                        rng: np.random.Generator) -> EpochShuffleState:
-    _check_sizes(dataset_size, batch_size)
+    check_sizes(dataset_size, batch_size)
     perm = rng.permutation(dataset_size).astype(np.int64)
     return EpochShuffleState(dataset_size, batch_size, perm)
 
@@ -239,7 +240,7 @@ def draw_replacement(dataset_size: int, batch_size: int,
                      rng: np.random.Generator, k: int) -> np.ndarray:
     """k batches of `batch_size` distinct indices, each uniform over all
     subsets of that size; nothing carries over between draws."""
-    _check_sizes(dataset_size, batch_size)
+    check_sizes(dataset_size, batch_size)
     return _subset_rows(rng, dataset_size, batch_size, k)
 
 

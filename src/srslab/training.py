@@ -13,7 +13,7 @@ from .nets import (backward, check_mlp_sizes, error_rate, forward_loss,
 from .optim import (LrSchedule, check_optim_params, effective_epoch,
                     init_optim, lr_at, sgd_step)
 from .rng import make_stream
-from .samplers import SAMPLER_KINDS, _check_sizes, make_sampler
+from .samplers import SAMPLER_KINDS, check_sizes, make_sampler
 
 # Stream ids carved out of the one config seed; the dataset stream is the
 # default stream 0 inside gen_blobs.
@@ -65,10 +65,9 @@ class TrainConfig:
         check_mlp_sizes(self.dim, self.hidden, self.classes)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        _check_sizes(self.train_size, self.batch_size)
+        check_sizes(self.train_size, self.batch_size)
         check_optim_params(self.momentum, self.weight_decay)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        make_stream(self.seed)  # validates the seed
         self.schedule()  # validates lr, lr_decay and the milestones
 
 

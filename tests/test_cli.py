@@ -125,6 +125,13 @@ class TestCoverage:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_seed_names_the_seed_rule(self, tmp_path, capsys):
+        code = main(["coverage", "srs", "10", "2", "--iterations", "3",
+                     "--seed", "-1", "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestTrain:
     def test_csv_shape_and_schedule_column(self, tmp_path, capsys):
@@ -205,8 +212,40 @@ class TestCompare:
         cfg.write_text(TINY_TRAIN + "seeds = 0\n", encoding="utf-8")
         main(["compare", str(cfg), "--out", str(tmp_path / "g.csv")])
         out = capsys.readouterr().out
-        assert "median final=" in out
         assert out.count("\n") == 2  # one line per cell
+        table = read_csv(tmp_path / "g.csv")
+        medians = [dict(zip(table.header, r)) for r in table.rows
+                   if r[3] == "median"]
+        assert out.splitlines() == [
+            f"{m['sampler']} ({m['milestones']}) decay {m['decay']}: "
+            f"median final={m['final_test_error']} "
+            f"best={m['best_test_error']}" for m in medians]
+
+    def test_one_train_call_per_run_row_in_row_order(self, tmp_path,
+                                                     capsys, monkeypatch):
+        results, real_train = [], srslab.cli.train
+
+        def spy(config):
+            results.append(real_train(config))
+            return results[-1]
+
+        monkeypatch.setattr(srslab.cli, "train", spy)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TINY_TRAIN + "samplers = srs, epoch\n"
+                       "schedules = 2@0.1 | 1,3@0.5\nseeds = 3,1\n",
+                       encoding="utf-8")
+        out_path = tmp_path / "grid.csv"
+        assert main(["compare", str(cfg), "--out", str(out_path)]) == 0
+        run_rows = [r for r in read_csv(out_path).rows if r[3] != "median"]
+        assert len(results) == len(run_rows) == 8
+        assert [(r[0], r[3]) for r in run_rows[:2]] == [("srs", "3"),
+                                                        ("srs", "1")]
+        for row, result in zip(run_rows, results):
+            c = result.config
+            assert row == [c.sampler, ",".join(map(str, c.lr_milestones)),
+                           repr(c.lr_decay), str(c.seed),
+                           repr(result.final_test_error),
+                           repr(result.best_test_error)]
 
     def test_bad_later_cell_exits_before_any_training(self, tmp_path,
                                                       capsys, monkeypatch):

@@ -1,11 +1,13 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srslab.cli import main
-from srslab.config import (KEY_DEFAULTS, ConfigError, MalformedLineError,
-                           UnknownKeyError, ValueRangeError, parse_config,
-                           parse_grid_config, serialize_config)
+from srslab.config import (ConfigError, MalformedLineError, UnknownKeyError,
+                           ValueRangeError, parse_config, parse_grid_config,
+                           serialize_config)
 from srslab.training import TrainConfig
 
 
@@ -81,8 +83,8 @@ class TestParseConfig:
             parse_config(write(tmp_path, "sampler = shuffle\n"))
 
     @settings(max_examples=30, deadline=None)
-    @given(key=st.sampled_from([k for k, v in KEY_DEFAULTS.items()
-                                if isinstance(v, float)]),
+    @given(key=st.sampled_from([f.name for f in fields(TrainConfig)
+                                if f.type == "float"]),
            text=st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf",
                                  "Infinity", "1e999", "-1e999"]))
     def test_non_finite_floats_are_rejected(self, tmp_path_factory, key,

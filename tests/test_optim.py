@@ -161,8 +161,9 @@ class TestEffectiveEpoch:
         assert effective_epoch(0, 100, 10) == 0
 
     def test_rejects_no_full_batch(self):
-        with pytest.raises(ValueError):
-            effective_epoch(5, 3, 4)
+        for args in [(5, 3, 4), (3, 5, 0), (3, -5, 1), (3, 5, -1)]:
+            with pytest.raises(ValueError):
+                effective_epoch(*args)
 
     def test_rejects_negative_iterations(self):
         with pytest.raises(ValueError):
