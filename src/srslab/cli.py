@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from dataclasses import astuple, dataclass, fields, replace
-
-import numpy as np
 
 from .config import GridConfig, parse_config, parse_grid_config
 from .counting import CountParams, configs_one_epoch, configs_with
@@ -81,8 +80,8 @@ def run_grid(grid: GridConfig) -> list[CompareRow]:
     cells = [rows[i:i + n] for i in range(0, len(rows), n)]
     return rows + [replace(
         cell[0], seed="median",
-        final_test_error=float(np.median([r.final_test_error for r in cell])),
-        best_test_error=float(np.median([r.best_test_error for r in cell])),
+        final_test_error=statistics.median(r.final_test_error for r in cell),
+        best_test_error=statistics.median(r.best_test_error for r in cell),
     ) for cell in cells]
 
 
@@ -170,7 +169,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError is a ValueError
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

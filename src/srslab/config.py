@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable
 
 from .csvio import format_cell
@@ -17,22 +18,6 @@ from .training import TrainConfig
 
 # (milestones, decay) of one grid schedule.
 ScheduleSpec = tuple[tuple[int, ...], float]
-
-
-class ConfigError(ValueError):
-    """Base class for config-file problems."""
-
-
-class MalformedLineError(ConfigError):
-    """A line is not a comment, blank, or a single `key = value` pair."""
-
-
-class UnknownKeyError(ConfigError):
-    """A key outside the documented key list."""
-
-
-class ValueRangeError(ConfigError):
-    """A value that does not parse or falls outside its legal range."""
 
 
 @dataclass
@@ -67,10 +52,10 @@ class GridConfig:
                             ("schedules", self.schedules),
                             ("seeds", self.seeds)):
             if not values:
-                raise ValueRangeError(f"{key} must hold at least one entry")
+                raise ValueError(f"{key} must hold at least one entry")
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
-                raise ValueRangeError(
+                raise ValueError(
                     f"{key}: {repeated[0]!r} appears more than once, which "
                     f"would repeat grid cells"
                 )
@@ -79,7 +64,7 @@ class GridConfig:
                 run.validate()
             except ValueError as exc:
                 cell = (run.sampler, run.lr_milestones, run.lr_decay)
-                raise ValueRangeError(
+                raise ValueError(
                     f"grid cell {cell} seed {run.seed}: {exc}"
                 ) from exc
 
@@ -131,7 +116,7 @@ def _parse_lines(text: str) -> dict[str, Any]:
         if not line:
             continue
         if "=" not in line:
-            raise MalformedLineError(
+            raise ValueError(
                 f"line {lineno}: expected 'key = value', got {raw_line.strip()!r}"
             )
         key, _, value = line.partition("=")
@@ -139,47 +124,36 @@ def _parse_lines(text: str) -> dict[str, Any]:
         value = value.strip()
         type_name = _TRAIN_KEYS.get(key) or _GRID_KEYS.get(key)
         if type_name is None:
-            raise UnknownKeyError(
-                f"line {lineno}: unknown key {key!r}"
-            )
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in values:
-            raise MalformedLineError(
-                f"line {lineno}: duplicate key {key!r}"
-            )
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[key] = _PARSERS_BY_TYPE[type_name](value)
         except ValueError:
-            raise ValueRangeError(
+            raise ValueError(
                 f"line {lineno}: {key}: expected {type_name}, got {value!r}"
             ) from None
     return values
 
 
-def _read(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _build_train_config(values: dict[str, Any]) -> TrainConfig:
     fields = {k: v for k, v in values.items() if k in _TRAIN_KEYS}
     config = dataclasses.replace(TrainConfig(), **fields)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ValueRangeError(str(exc)) from exc
+    config.validate()
     return config
 
 
 def parse_config(path) -> TrainConfig:
     """Read a single-run config; missing keys take their defaults."""
-    return _build_train_config(_parse_lines(_read(path)))
+    text = Path(path).read_text(encoding="utf-8")
+    return _build_train_config(_parse_lines(text))
 
 
 def parse_grid_config(path) -> GridConfig:
     """Read a comparison-grid config (base run keys plus samplers /
     schedules / seeds).  Missing grid keys default to samplers epoch, srs;
     the base run's schedule; and the base run's seed."""
-    values = _parse_lines(_read(path))
+    values = _parse_lines(Path(path).read_text(encoding="utf-8"))
     base = _build_train_config(values)
     schedules = values.get("schedules", ((base.lr_milestones, None),))
     grid = GridConfig(

@@ -8,6 +8,7 @@ expectation; medians across replicas summarize a report.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,7 +43,8 @@ class ReplicaReport:
 
     def median(self, stat: str) -> float:
         """Median of one STATS entry across the replicas."""
-        return float(np.median([getattr(s, stat) for s in self.per_replica]))
+        return float(statistics.median(getattr(s, stat)
+                                       for s in self.per_replica))
 
     @property
     def median_untouched_fraction(self) -> float:

@@ -23,6 +23,14 @@ SAMPLER_KINDS = ("srs", "epoch", "replacement")
 BLOCK_ELEMENTS = 1 << 15
 
 
+def check_kind(kind: str) -> None:
+    """Raise ValueError unless `kind` names one of SAMPLER_KINDS."""
+    if kind not in SAMPLER_KINDS:
+        raise ValueError(
+            f"sampler must be one of {SAMPLER_KINDS}, got {kind!r}"
+        )
+
+
 def check_sizes(dataset_size: int, batch_size: int) -> None:
     """Raise ValueError unless 1 <= batch_size <= dataset_size."""
     if dataset_size < 1:
@@ -248,14 +256,11 @@ def make_sampler(kind: str, dataset_size: int, batch_size: int,
                  rng: np.random.Generator) -> Callable[[int], np.ndarray]:
     """Uniform front door: `draw(k)` yields the next k batches as a
     (k, batch_size) int64 array."""
+    check_kind(kind)
     if kind == "srs":
         srs_state = init_srs(dataset_size, batch_size)
         return lambda k: draw_srs(srs_state, rng, k)
     if kind == "epoch":
         epoch_state = init_epoch_shuffle(dataset_size, batch_size, rng)
         return lambda k: draw_epoch(epoch_state, rng, k)
-    if kind == "replacement":
-        return lambda k: draw_replacement(dataset_size, batch_size, rng, k)
-    raise ValueError(
-        f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}"
-    )
+    return lambda k: draw_replacement(dataset_size, batch_size, rng, k)

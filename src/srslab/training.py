@@ -13,7 +13,7 @@ from .nets import (backward, check_mlp_sizes, error_rate, forward_loss,
 from .optim import (LrSchedule, check_optim_params, effective_epoch,
                     init_optim, lr_at, sgd_step)
 from .rng import make_stream
-from .samplers import SAMPLER_KINDS, check_sizes, make_sampler
+from .samplers import check_kind, check_sizes, make_sampler
 
 # Stream ids carved out of the one config seed; the dataset stream is the
 # default stream 0 inside gen_blobs.
@@ -52,10 +52,7 @@ class TrainConfig:
         return LrSchedule(self.lr, self.lr_milestones, self.lr_decay)
 
     def validate(self) -> None:
-        if self.sampler not in SAMPLER_KINDS:
-            raise ValueError(
-                f"sampler must be one of {SAMPLER_KINDS}, got {self.sampler!r}"
-            )
+        check_kind(self.sampler)
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):

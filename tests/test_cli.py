@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import srslab
 import srslab.cli
 import srslab.counting
 from srslab.cli import main
@@ -18,6 +23,14 @@ TINY_TRAIN = (
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_python(*args, cwd):
+    """Run a fresh interpreter with the package source on its path."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(srslab.__file__).parent.parent))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestCount:
@@ -267,3 +280,27 @@ class TestCompare:
         assert err[0].startswith("error: grid cell ('epoch', (0, 2), 0.1)")
         assert calls == []
         assert not out_path.exists()
+
+
+class TestProcess:
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        done = run_python("-m", "srslab.cli", "count", "5", "2", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "configs_one_epoch 13" in done.stdout
+
+    def test_medians_do_not_import_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma on its first call; the cross-replica
+        # and per-cell medians are taken by the stdlib instead
+        (tmp_path / "grid.cfg").write_text(
+            TINY_TRAIN + "samplers = srs\nseeds = 0, 1\n", encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from srslab.cli import main\n"
+            "assert main(['coverage', 'srs', '20', '4', '--iterations', '9',"
+            " '--replicas', '2', '--out', 'cov.csv']) == 0\n"
+            "assert main(['compare', 'grid.cfg', '--out', 'grid.csv']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = run_python("-c", script, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"

@@ -239,7 +239,7 @@ class TestDeterminism:
         assert a(5).tolist() != b(5).tolist()
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sampler must be one of"):
             make_sampler("bogus", 10, 2, make_stream(0))
 
 
