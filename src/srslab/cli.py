@@ -13,7 +13,7 @@ from .coverage import (STATS, ReplicaReport, expected_untouched_replacement,
                        simulate_coverage)
 from .csvio import CsvTable, write_csv
 from .samplers import SAMPLER_KINDS
-from .training import MetricsRow, train
+from .training import MetricsRow, shared_prefixes, train
 
 
 @dataclass
@@ -68,14 +68,15 @@ def records_table(record_type, records) -> CsvTable:
 
 
 def run_grid(grid: GridConfig) -> list[CompareRow]:
-    """Train every run of a validated grid in `grid.runs()` order, one row
-    each, then add one median row per cell."""
-    rows = []
-    for run in grid.runs():
-        result = train(run)
-        rows.append(CompareRow(
-            run.sampler, ",".join(map(str, run.lr_milestones)), run.lr_decay,
-            run.seed, result.final_test_error, result.best_test_error))
+    """Train every run of a validated grid in `grid.runs()` order, each
+    shared schedule prefix once, then add one median row per cell."""
+    runs = grid.runs()
+    with shared_prefixes(runs):
+        results = [train(run) for run in runs]
+    rows = [CompareRow(run.sampler, ",".join(map(str, run.lr_milestones)),
+                       run.lr_decay, run.seed, result.final_test_error,
+                       result.best_test_error)
+            for run, result in zip(runs, results)]
     n = len(grid.seeds)
     cells = [rows[i:i + n] for i in range(0, len(rows), n)]
     return rows + [replace(
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

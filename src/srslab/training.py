@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,12 +94,41 @@ class TrainResult:
         return min(r.test_error for r in self.rows)
 
 
+# Inside `shared_prefixes`: the rates two grid runs share before they
+# part, and the states saved there by (run less its schedule, rates).
+_SHARED: ContextVar = ContextVar("shared", default=((), {}))
+
+
+@contextmanager
+def shared_prefixes(runs: list[TrainConfig]):
+    """Within the block, `train` resumes from the state of an earlier run
+    that matches it but in its schedule, at the epoch where their rates
+    part.  The states go with the block."""
+    rates = [_rates(run) for run in runs]
+    forks = {tuple(a[:next((e for e, (x, y) in enumerate(zip(a, b))
+                            if x != y), 0)])
+             for a in rates for b in rates}
+    token = _SHARED.set((forks, {}))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _rates(config: TrainConfig) -> list[float]:
+    """Epoch e steps at rates[e]; its row reports rates[e + 1]."""
+    schedule = config.schedule()
+    return [lr_at(schedule, e) for e in range(config.epochs + 1)]
+
+
 def train(config: TrainConfig) -> TrainResult:
     """Run the configured loop: per effective epoch, draw and gather its
-    batches and set the schedule's rate; per batch, forward/backward into
-    one gradient buffer and an SGD step; one MetricsRow per completed
-    effective epoch.  Raises ValueError if an epoch's train loss is not
-    finite.  Deterministic given the config."""
+    batches and take its rate; per batch, forward/backward into one
+    gradient buffer and an SGD step; one MetricsRow per completed
+    effective epoch.  Inside `shared_prefixes` it skips, but for their
+    draws, the epochs it shares with an earlier run.  Raises ValueError
+    if an epoch's train loss is not finite.  Deterministic given the
+    config."""
     config.validate()
     data = gen_blobs(config.classes, config.ipc_train, config.ipc_test,
                      config.dim, config.sigma_means, config.sigma_noise,
@@ -109,19 +140,29 @@ def train(config: TrainConfig) -> TrainResult:
                      make_stream(config.seed, MODEL_STREAM))
     opt = init_optim(model, config.momentum, config.weight_decay)
     grads = model.zeros_like()
-    schedule = config.schedule()
     draw = make_sampler(config.sampler, n, b,
                         make_stream(config.seed, SAMPLER_STREAM))
 
+    forks, states = _SHARED.get()
+    rates = _rates(config)
+    key = astuple(replace(config, lr_milestones=None, lr_decay=None))
+    resume = max((e for e in range(config.epochs + 1)
+                  if (key, tuple(rates[:e])) in states), default=0)
     result = TrainResult(config)
-    iterations = 0
+    if resume:
+        model.flat[:], opt.velocities[:], rows = states[
+            key, tuple(rates[:resume])]
+        # The fork epoch's row reports this run's own next rate.
+        result.rows = [replace(row, learning_rate=rates[e + 1])
+                       for e, row in enumerate(rows)]
+        for _ in range(resume):  # redraws depend on the block size
+            draw(per_epoch)
+    iterations = resume * per_epoch
     # A diverging run overflows in numpy before the loss guard below
     # reports it in one error, so those warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
-            # Milestones are whole epochs, so the rate holds for all of
-            # this one.
-            rate = lr_at(schedule, effective_epoch(iterations, n, b))
+        for epoch in range(resume, config.epochs):
+            rate = rates[epoch]
             loss_sum = 0.0
             batches = draw(per_epoch)
             for x, y in zip(data.train_x[batches], data.train_y[batches]):
@@ -139,11 +180,14 @@ def train(config: TrainConfig) -> TrainResult:
                 )
             result.rows.append(MetricsRow(
                 effective_epoch=float(completed),
-                learning_rate=lr_at(schedule, completed),
+                learning_rate=rates[epoch + 1],
                 train_loss=loss_sum / per_epoch,
                 test_error=error_rate(model, data.test_x, data.test_y),
                 wall_iterations=iterations,
             ))
+            if tuple(rates[:epoch + 1]) in forks:
+                states[key, tuple(rates[:epoch + 1])] = (
+                    model.flat.copy(), opt.velocities.copy(), result.rows[:])
     result.final_train_accuracy = 1.0 - error_rate(model, data.train_x,
                                                    data.train_y)
     return result

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -9,15 +10,25 @@ import pytest
 import srslab
 import srslab.cli
 import srslab.counting
-from srslab.cli import main
+import srslab.training
+from srslab.cli import CompareRow, main, records_table, run_grid
+from srslab.config import parse_grid_config
 from srslab.coverage import expected_untouched_replacement
-from srslab.csvio import read_csv
+from srslab.csvio import read_csv, write_csv
 from srslab.optim import LrSchedule, lr_at
+from srslab.training import train
 
 TINY_TRAIN = (
     "classes = 2\nipc_train = 10\nipc_test = 5\ndim = 2\n"
     "sigma_means = 3.0\nsigma_noise = 0.3\nhidden = 8\nbatch_size = 5\n"
     "lr_milestones = 2\nepochs = 4\nseed = 0\n"
+)
+# Schedules that share prefixes as a tree: the second and third part
+# from the first at epoch 2 and from each other at epoch 3; the fourth
+# steps at the first one's rates throughout, and its last row differs.
+PREFIX_GRID = TINY_TRAIN + (
+    "samplers = epoch, srs, replacement\n"
+    "schedules = 4@0.1 | 2,4@0.1 | 2,3@0.1 | 5@0.1\nseeds = 0, 1\n"
 )
 
 
@@ -137,6 +148,17 @@ class TestCoverage:
                      "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_input_too_large_to_allocate_exits_two(self, tmp_path, capsys):
+        # 2**50 int64 slots are 8 PiB, beyond any 47-bit address space
+        out_path = tmp_path / "c.csv"
+        code = main(["coverage", "srs", str(2**50), "3", "--iterations", "1",
+                     "--out", str(out_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_negative_seed_names_the_seed_rule(self, tmp_path, capsys):
         code = main(["coverage", "srs", "10", "2", "--iterations", "3",
@@ -259,6 +281,59 @@ class TestCompare:
                            repr(c.lr_decay), str(c.seed),
                            repr(result.final_test_error),
                            repr(result.best_test_error)]
+
+    def test_shared_prefixes_match_standalone_runs(self, tmp_path, capsys,
+                                                   monkeypatch):
+        results, real_train = [], srslab.cli.train
+
+        def spy(config):
+            results.append(real_train(config))
+            return results[-1]
+
+        monkeypatch.setattr(srslab.cli, "train", spy)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(PREFIX_GRID, encoding="utf-8")
+        out_path = tmp_path / "grid.csv"
+        assert main(["compare", str(cfg), "--out", str(out_path)]) == 0
+        assert len(results) == 24
+        for result in results:
+            # every row, the fork epochs' learning_rate included
+            assert result == train(result.config)
+        # a resumed run's fork row reports its own rate, not its source's
+        assert [r.learning_rate for r in results[2].rows] == [
+            0.1, 0.1 * 0.1, 0.1 * 0.1, 0.1 * 0.1 ** 2]
+        monkeypatch.setattr(srslab.cli, "shared_prefixes",
+                            lambda runs: contextlib.nullcontext())
+        expected = tmp_path / "standalone.csv"
+        write_csv(records_table(CompareRow, run_grid(parse_grid_config(cfg))),
+                  expected)
+        assert out_path.read_bytes() == expected.read_bytes()
+
+    def test_shared_prefixes_are_trained_once_per_compare(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        calls, real_forward = [], srslab.training.forward_loss
+
+        def spy(*args):
+            calls.append(None)
+            return real_forward(*args)
+
+        monkeypatch.setattr(srslab.training, "forward_loss", spy)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(PREFIX_GRID, encoding="utf-8")
+        # Per (sampler, seed): 4@0.1 trains all 4 epochs, 2,4@0.1 resumes
+        # at 2, 2,3@0.1 at 3 and 5@0.1 at 4; 3 samplers x 2 seeds,
+        # 20 // 5 batches an epoch
+        per_epoch = 4
+        trained = 3 * 2 * ((4 - 0) + (4 - 2) + (4 - 3) + (4 - 4)) * per_epoch
+        for _ in range(2):  # nothing carries over to the next compare
+            calls.clear()
+            assert main(["compare", str(cfg), "--out",
+                         str(tmp_path / "g.csv")]) == 0
+            assert len(calls) == trained == 168
+        calls.clear()
+        train(parse_grid_config(cfg).runs()[1])
+        assert len(calls) == 4 * per_epoch
 
     def test_bad_later_cell_exits_before_any_training(self, tmp_path,
                                                       capsys, monkeypatch):
