@@ -153,16 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     coverage.add_argument("--out", required=True, help="output CSV path")
     coverage.set_defaults(func=_cmd_coverage)
 
-    train_p = sub.add_parser("train", help="one training run from a config")
-    train_p.add_argument("config", help="key = value config file")
-    train_p.add_argument("--out", required=True, help="output CSV path")
-    train_p.set_defaults(func=_cmd_train)
-
-    compare = sub.add_parser(
-        "compare", help="sampler x schedule x seed comparison grid")
-    compare.add_argument("config", help="key = value config file")
-    compare.add_argument("--out", required=True, help="output CSV path")
-    compare.set_defaults(func=_cmd_compare)
+    for name, about, func in (
+            ("train", "one training run from a config", _cmd_train),
+            ("compare", "sampler x schedule x seed comparison grid",
+             _cmd_compare)):
+        run = sub.add_parser(name, help=about)
+        run.add_argument("config", help="key = value config file")
+        run.add_argument("--out", required=True, help="output CSV path")
+        run.set_defaults(func=func)
     return parser
 
 

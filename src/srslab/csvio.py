@@ -16,14 +16,6 @@ class CsvTable:
     header: list[str]
     rows: list[list[str]] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        width = len(self.header)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(
-                    f"row {i} has {len(row)} cells, header has {width}"
-                )
-
     def append(self, values) -> None:
         row = [format_cell(v) for v in values]
         if len(row) != len(self.header):
@@ -52,7 +44,10 @@ def from_string(text: str) -> CsvTable:
     records = list(reader)
     if not records:
         raise ValueError("empty CSV: missing header row")
-    return CsvTable(header=records[0], rows=records[1:])
+    table = CsvTable(header=records[0])
+    for row in records[1:]:
+        table.append(row)
+    return table
 
 
 def write_csv(table: CsvTable, path) -> None:

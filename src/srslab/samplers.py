@@ -142,14 +142,36 @@ def init_srs(dataset_size: int, batch_size: int) -> SrsPool:
 
 def _srs_rows(state: SrsPool, positions: np.ndarray) -> np.ndarray:
     """Apply one draw per row of `positions` (each row distinct slot
-    positions) and return the drawn dataset indices, row by row."""
-    n, b, k = state.dataset_size, state.batch_size, len(positions)
-    fills = ((state.cursor + np.arange(k * b)) % n).reshape(k, b)
-    out = np.empty((k, b), dtype=np.int64)
-    for row, pos, fill in zip(out, positions, fills):
+    positions) and return the drawn dataset indices, row by row.
+
+    Rows go in chunks of at most BLOCK_ELEMENTS // batch_size.  A dense
+    chunk, one writing more entries than the pool holds, goes in one pass:
+    a stable argsort groups each slot's touches in row order, a touch reads
+    the fill of the touch before it, or the slot's value before the chunk
+    if it is the first, and each slot keeps its last fill.  Its positions
+    lie below dataset_size < 2**15, so they fit in uint16, which numpy
+    argsorts stably by radix sort.  Sparse chunks keep the faster row loop.
+    """
+    n, b = state.dataset_size, state.batch_size
+    out = rows = np.empty((len(positions), b), dtype=np.int64)
+    step = BLOCK_ELEMENTS // b or 1
+    while min(step, len(rows)) * b > n:
+        pos = positions[:step].ravel()
+        order = np.argsort(pos.astype(np.uint16), kind="stable")
+        fills = (state.cursor + order) % n
+        counts = np.bincount(pos)
+        touched = np.flatnonzero(counts)
+        ends = np.cumsum(counts[touched])
+        rows.reshape(-1)[order] = np.roll(fills, 1)
+        rows.reshape(-1)[order[ends - counts[touched]]] = state.slots[touched]
+        state.slots[touched] = fills[ends - 1]
+        state.draws_completed += len(pos) // b
+        rows, positions = rows[step:], positions[step:]
+    fills = np.arange(state.cursor, state.cursor + rows.size) % n
+    for row, pos, fill in zip(rows, positions, fills.reshape(rows.shape)):
         row[:] = state.slots[pos]
         state.slots[pos] = fill
-    state.draws_completed += k
+    state.draws_completed += len(rows)
     return out
 
 
@@ -158,8 +180,8 @@ def srs_draw_at(state: SrsPool, positions: Sequence[int]) -> np.ndarray:
 
     `positions` index into the current slot array, so they must be
     distinct and lie in [0, dataset_size); this forces a draw onto chosen
-    slots (replays, walkthrough tests) through the same row loop
-    `draw_srs` uses.  Returns the drawn dataset indices in position order.
+    slots (replays, walkthrough tests) through the row loop of `_srs_rows`,
+    as one row is never dense.  Returns the drawn indices in position order.
     """
     b = state.batch_size
     if len(positions) != b:

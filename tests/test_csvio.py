@@ -38,7 +38,7 @@ class TestCsvTable:
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
-            CsvTable(header=["a", "b"], rows=[["1"]])
+            from_string("a,b\n1\n")
         table = CsvTable(header=["a", "b"])
         with pytest.raises(ValueError):
             table.append([1])

@@ -261,6 +261,28 @@ def assert_uniform(outcomes, support):
         assert chi < chi2_quantile_999(len(support) - 1), (chi, counts)
 
 
+def replay_srs(n, b, seed, blocks):
+    """Reference for draw_srs in plain Python: the slot positions
+    _subset_rows draws from the same stream, read and refilled one entry at
+    a time.  Returns the drawn indices, the final slots and the draws."""
+    rng = make_stream(seed)
+    slots, drawn, written = list(range(n)), [], 0
+    for k in blocks:
+        for row in _subset_rows(rng, n, b, k).tolist():
+            for pos in row:
+                drawn.append(slots[pos])
+                slots[pos] = written % n
+                written += 1
+    return drawn, slots, written // b
+
+
+def assert_matches_replay(n, b, seed, blocks):
+    state, rng = init_srs(n, b), make_stream(seed)
+    drawn = [draw_srs(state, rng, k).ravel().tolist() for k in blocks]
+    got = (sum(drawn, []), state.slots.tolist(), state.draws_completed)
+    assert got == replay_srs(n, b, seed, blocks)
+
+
 class TestSubsetRows:
     # (6, 2), (7, 1) and (8, 3) take the rejection branch; (5, 3), (3, 3),
     # (5, 4), (6, 5) and (4, 4) take the permutation branch (see
@@ -320,6 +342,24 @@ class TestSubsetRows:
             assert np.array_equal(np.bincount(state.slots, minlength=n),
                                   1 + np.array(refills) - drawn)
         assert state.draws_completed == sum(blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=24), st.data())
+    def test_block_draws_match_a_row_by_row_replay(self, n, data):
+        b = data.draw(st.integers(min_value=1, max_value=n))
+        blocks = data.draw(st.lists(st.integers(min_value=0, max_value=30),
+                                    max_size=5))
+        assert_matches_replay(n, b, data.draw(st.integers(0, 2**32)), blocks)
+
+    # (1000, 32): two dense chunks of 1024 and 976 rows.  (24, 4) and
+    # (1024, 32) end on a chunk of exactly n entries, which stays on the row
+    # loop; (23, 4) and (1023, 32) on one of n + 1, which is dense.
+    # (70000, 16): sparse chunks of 2048 rows, positions beyond uint16.
+    @pytest.mark.parametrize("n, b, blocks", [
+        (1000, 32, [2000]), (24, 4, [6]), (23, 4, [6]), (1024, 32, [1056]),
+        (1023, 32, [1056]), (70_000, 16, [3000])])
+    def test_fixed_blocks_match_a_row_by_row_replay(self, n, b, blocks):
+        assert_matches_replay(n, b, 17, blocks)
 
     def test_redraw_rounds_stay_within_a_chunk(self):
         # (1000, 72) takes rejection with p = 0.073, so about 420 of a
