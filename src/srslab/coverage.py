@@ -109,7 +109,6 @@ def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    check_sizes(dataset_size, batch_size)
     block = max(1, BLOCK_ELEMENTS // batch_size)
     per_replica = []
     for r in range(replicas):

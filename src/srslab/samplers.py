@@ -5,7 +5,8 @@ All three are deterministic state machines driven by a numpy Generator.
 (k, batch_size) int64 array of dataset indices in [0, dataset_size).
 Under sequenced replacement a batch may repeat an index once the pool
 holds duplicate copies; the other two regimes always return distinct
-indices within a batch.
+indices within a batch.  Epoch shuffle deals the first (N // B) * B
+entries of each fresh permutation, so the partial batch is dropped.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ SAMPLER_KINDS = ("srs", "epoch", "replacement")
 # Subset rows are made in chunks of about this many int64 entries (256 KiB),
 # so no temporary grows with k * N; coverage sizes its draw blocks by it too.
 BLOCK_ELEMENTS = 1 << 15
+
+# `_srs_rows` takes its one-pass refill once a chunk writes more than this
+# many entries per pool slot; below it the row loop measured faster.
+DENSE_PER_SLOT = 4
 
 
 def check_kind(kind: str) -> None:
@@ -145,17 +150,18 @@ def _srs_rows(state: SrsPool, positions: np.ndarray) -> np.ndarray:
     positions) and return the drawn dataset indices, row by row.
 
     Rows go in chunks of at most BLOCK_ELEMENTS // batch_size.  A dense
-    chunk, one writing more entries than the pool holds, goes in one pass:
-    a stable argsort groups each slot's touches in row order, a touch reads
-    the fill of the touch before it, or the slot's value before the chunk
-    if it is the first, and each slot keeps its last fill.  Its positions
-    lie below dataset_size < 2**15, so they fit in uint16, which numpy
-    argsorts stably by radix sort.  Sparse chunks keep the faster row loop.
+    chunk, one writing more than DENSE_PER_SLOT entries per pool slot, goes
+    in one pass: a stable argsort groups each slot's touches in row order,
+    a touch reads the fill of the touch before it, or the slot's value
+    before the chunk if it is the first, and each slot keeps its last fill.
+    Its positions lie below dataset_size < 2**13, so they fit in uint16,
+    which numpy argsorts stably by radix sort.  Sparser chunks keep the
+    row loop, which is faster for them.
     """
     n, b = state.dataset_size, state.batch_size
     out = rows = np.empty((len(positions), b), dtype=np.int64)
     step = BLOCK_ELEMENTS // b or 1
-    while min(step, len(rows)) * b > n:
+    while min(step, len(rows)) * b > DENSE_PER_SLOT * n:
         pos = positions[:step].ravel()
         order = np.argsort(pos.astype(np.uint16), kind="stable")
         fills = (state.cursor + order) % n
@@ -226,63 +232,30 @@ def refill_count(index: int, draws_completed: int, dataset_size: int,
     return total // dataset_size + (1 if index < total % dataset_size else 0)
 
 
-@dataclass
-class EpochShuffleState:
-    """Non-replacement sampler: a shuffled order consumed batch by batch.
-
-    When fewer than `batch_size` entries remain the leftovers are dropped
-    and a fresh uniform permutation starts the next epoch.
-    """
-
-    dataset_size: int
-    batch_size: int
-    permutation: np.ndarray
-    position: int = 0
-
-
-def init_epoch_shuffle(dataset_size: int, batch_size: int,
-                       rng: np.random.Generator) -> EpochShuffleState:
-    check_sizes(dataset_size, batch_size)
-    perm = rng.permutation(dataset_size).astype(np.int64)
-    return EpochShuffleState(dataset_size, batch_size, perm)
-
-
-def draw_epoch(state: EpochShuffleState, rng: np.random.Generator,
-               k: int) -> np.ndarray:
-    """Next k batches of consecutive permutation entries, reshuffling (and
-    discarding any partial remainder) whenever a batch would overrun it."""
-    n, b = state.dataset_size, state.batch_size
-    out = np.empty(k * b, dtype=np.int64)
-    done = 0
-    while done < out.size:
-        if state.position + b > n:
-            state.permutation = rng.permutation(n).astype(np.int64)
-            state.position = 0
-        take = min(out.size - done, (n - state.position) // b * b)
-        out[done:done + take] = state.permutation[
-            state.position:state.position + take]
-        state.position += take
-        done += take
-    return out.reshape(k, b)
-
-
-def draw_replacement(dataset_size: int, batch_size: int,
-                     rng: np.random.Generator, k: int) -> np.ndarray:
-    """k batches of `batch_size` distinct indices, each uniform over all
-    subsets of that size; nothing carries over between draws."""
-    check_sizes(dataset_size, batch_size)
-    return _subset_rows(rng, dataset_size, batch_size, k)
-
-
 def make_sampler(kind: str, dataset_size: int, batch_size: int,
                  rng: np.random.Generator) -> Callable[[int], np.ndarray]:
     """Uniform front door: `draw(k)` yields the next k batches as a
-    (k, batch_size) int64 array."""
+    (k, batch_size) int64 array, drawn from `rng`, which the sampler owns.
+    `epoch` deals (N // B) * B-entry prefixes of uniform permutations, each
+    drawn only when a batch needs it; `replacement` draws every batch
+    afresh with `_subset_rows`."""
     check_kind(kind)
+    check_sizes(dataset_size, batch_size)
+    n, b = dataset_size, batch_size
     if kind == "srs":
-        srs_state = init_srs(dataset_size, batch_size)
-        return lambda k: draw_srs(srs_state, rng, k)
-    if kind == "epoch":
-        epoch_state = init_epoch_shuffle(dataset_size, batch_size, rng)
-        return lambda k: draw_epoch(epoch_state, rng, k)
-    return lambda k: draw_replacement(dataset_size, batch_size, rng, k)
+        pool = init_srs(n, b)
+        return lambda k: draw_srs(pool, rng, k)
+    if kind == "replacement":
+        return lambda k: _subset_rows(rng, n, b, k)
+    usable = n // b * b
+    rest = np.empty(0, dtype=np.int64)  # undealt entries, in order
+
+    def draw(k: int) -> np.ndarray:
+        nonlocal rest
+        short = -((rest.size - k * b) // usable)  # permutations to deal
+        if short > 0:
+            rest = np.concatenate([rest] + [rng.permutation(n)[:usable]
+                                            for _ in range(short)])
+        block, rest = rest[:k * b], rest[k * b:]
+        return block.reshape(k, b)
+    return draw

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -11,9 +12,8 @@ from hypothesis import strategies as st
 from srslab.rng import make_stream
 from srslab.samplers import (BLOCK_ELEMENTS, SAMPLER_KINDS,
                              _distinct_probability, _rejection_is_cheaper,
-                             _subset_rows, draw_batch_srs, draw_epoch,
-                             draw_replacement, draw_srs,
-                             init_epoch_shuffle, init_srs, make_sampler,
+                             _subset_rows, check_sizes, draw_batch_srs,
+                             draw_srs, init_srs, make_sampler,
                              pool_histogram, refill_count, srs_draw_at)
 
 
@@ -149,79 +149,104 @@ class TestSrsDraw:
         assert pool_histogram(state)[0] == 4  # strictly grew from 1
 
 
+def replay_epoch(n, b, rng, rows):
+    """Reference for the epoch sampler: the first `rows` batches dealt from
+    the (n // b) * b-entry prefixes of rng.permutation(n), drawn in turn
+    only while they are needed."""
+    dealt = []
+    while len(dealt) < rows * b:
+        dealt += rng.permutation(n)[:n // b * b].tolist()
+    return dealt[:rows * b]
+
+
+def assert_epoch_matches_replay(n, b, seed, blocks):
+    rng, replay_rng = make_stream(seed), make_stream(seed)
+    draw = make_sampler("epoch", n, b, rng)
+    drawn = []
+    for k in blocks:
+        block = draw(k)
+        assert block.dtype == np.int64 and block.shape == (k, b)
+        drawn += block.ravel().tolist()
+    assert drawn == replay_epoch(n, b, replay_rng, sum(blocks))
+    # no permutation is drawn ahead of the batches that need it
+    assert rng.integers(2**62) == replay_rng.integers(2**62)
+
+
 class TestEpochShuffle:
     def test_one_epoch_partitions_when_divisible(self):
-        state = init_epoch_shuffle(4, 2, make_stream(5))
-        rng = make_stream(5, 1)
-        seen = np.concatenate([draw_epoch(state, rng, 1)[0] for _ in range(2)])
+        draw = make_sampler("epoch", 4, 2, make_stream(5))
+        seen = np.concatenate([draw(1)[0] for _ in range(2)])
         assert sorted(seen) == [0, 1, 2, 3]
 
     def test_partial_batch_is_dropped(self):
-        state = init_epoch_shuffle(5, 2, make_stream(6))
-        rng = make_stream(6, 1)
-        epoch = [draw_epoch(state, rng, 1)[0] for _ in range(2)]
-        seen = np.concatenate(epoch)
-        assert len(set(seen.tolist())) == 4  # exactly one index unused
-        # third draw starts a fresh permutation
-        nxt = draw_epoch(state, rng, 1)[0]
-        assert state.position == 2
-        assert len(nxt) == 2
+        draw = make_sampler("epoch", 5, 2, make_stream(6))
+        epoch = np.concatenate([draw(1)[0] for _ in range(2)])
+        assert len(set(epoch.tolist())) == 4  # exactly one index unused
+        # the third batch opens a fresh permutation
+        replay = make_stream(6)
+        first, second = replay.permutation(5), replay.permutation(5)
+        assert epoch.tolist() == first[:4].tolist()
+        assert draw(1)[0].tolist() == second[:2].tolist()
 
     def test_batches_within_epoch_are_disjoint(self):
         n, b = 21, 4
-        state = init_epoch_shuffle(n, b, make_stream(7))
-        rng = make_stream(7, 1)
+        draw = make_sampler("epoch", n, b, make_stream(7))
         for _ in range(3):  # three epochs
-            seen = np.concatenate(
-                [draw_epoch(state, rng, 1)[0] for _ in range(n // b)]
-            )
+            seen = np.concatenate([draw(1)[0] for _ in range(n // b)])
             assert len(set(seen.tolist())) == (n // b) * b
 
     def test_blocks_match_batch_by_batch_draws(self):
         n, b = 21, 4  # five batches per epoch; the blocks cross epochs
-        blocks = init_epoch_shuffle(n, b, make_stream(9))
-        single = init_epoch_shuffle(n, b, make_stream(9))
-        rng_blocks, rng_single = make_stream(9, 1), make_stream(9, 1)
-        drawn = np.concatenate([draw_epoch(blocks, rng_blocks, k)
-                                for k in (3, 11, 1, 7)])
-        assert drawn.tolist() == [draw_epoch(single, rng_single, 1)[0].tolist()
-                                  for _ in range(22)]
+        blocks = make_sampler("epoch", n, b, make_stream(9))
+        single = make_sampler("epoch", n, b, make_stream(9))
+        drawn = np.concatenate([blocks(k) for k in (3, 11, 1, 7)])
+        assert drawn.tolist() == [single(1)[0].tolist() for _ in range(22)]
 
     def test_same_seed_gives_same_sequence(self):
         runs = []
         for _ in range(2):
-            state = init_epoch_shuffle(9, 2, make_stream(11))
-            rng = make_stream(11, 1)
-            runs.append([draw_epoch(state, rng, 1)[0].tolist()
-                         for _ in range(10)])
+            draw = make_sampler("epoch", 9, 2, make_stream(11))
+            runs.append([draw(1)[0].tolist() for _ in range(10)])
         assert runs[0] == runs[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=24), st.data())
+    def test_blocks_match_a_permutation_replay(self, n, data):
+        b = data.draw(st.integers(min_value=1, max_value=n))
+        blocks = data.draw(st.lists(st.integers(min_value=0, max_value=30),
+                                    max_size=5))
+        assert_epoch_matches_replay(n, b, data.draw(st.integers(0, 2**32)),
+                                    blocks)
+
+    # b == n deals whole permutations; (7, 3) and (23, 5) drop one and three
+    # entries per epoch; (21, 4, [23]) spans five epochs in one block.
+    @pytest.mark.parametrize("n, b, blocks", [
+        (5, 5, [3, 0, 1]), (1, 1, [4]), (7, 3, [1, 1, 1, 1, 1]),
+        (23, 5, [9, 2]), (21, 4, [23, 2]), (1000, 32, [100, 1])])
+    def test_fixed_blocks_match_a_permutation_replay(self, n, b, blocks):
+        assert_epoch_matches_replay(n, b, 19, blocks)
 
 
 class TestBatchedReplacement:
     def test_full_batch_is_a_permutation(self):
-        rng = make_stream(2)
+        draw = make_sampler("replacement", 5, 5, make_stream(2))
         for _ in range(20):
-            batch = draw_replacement(5, 5, rng, 1)[0]
-            assert sorted(batch) == [0, 1, 2, 3, 4]
+            assert sorted(draw(1)[0]) == [0, 1, 2, 3, 4]
 
     def test_single_draw_frequencies_are_balanced(self):
-        rng = make_stream(42)
+        draw = make_sampler("replacement", 2, 1, make_stream(42))
         hits = np.zeros(2, dtype=np.int64)
         for _ in range(10_000):
-            hits[draw_replacement(2, 1, rng, 1)[0, 0]] += 1
+            hits[draw(1)[0, 0]] += 1
         freq = hits[0] / 10_000
         assert abs(freq - 0.5) <= 0.02
 
     def test_support_is_every_subset(self):
-        rng = make_stream(3)
+        draw = make_sampler("replacement", 5, 2, make_stream(3))
         seen = set()
         for _ in range(2_000):
-            seen.add(frozenset(draw_replacement(5, 2, rng, 1)[0].tolist()))
+            seen.add(frozenset(draw(1)[0].tolist()))
         assert len(seen) == 10  # C(5,2)
-
-    def test_rejects_oversized_batch(self):
-        with pytest.raises(ValueError):
-            draw_replacement(3, 4, make_stream(0), 1)
 
 
 class TestDeterminism:
@@ -241,6 +266,53 @@ class TestDeterminism:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="sampler must be one of"):
             make_sampler("bogus", 10, 2, make_stream(0))
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    @pytest.mark.parametrize("n, b", [(3, 4), (0, 1), (5, 0), (0, 0)])
+    def test_bad_sizes_rejected_with_the_check_sizes_message(self, kind,
+                                                              n, b):
+        with pytest.raises(ValueError) as rule:
+            check_sizes(n, b)
+        with pytest.raises(ValueError) as got:
+            make_sampler(kind, n, b, make_stream(0))
+        assert str(got.value) == str(rule.value)
+        if (n, b) == (3, 4):
+            assert str(got.value) == "batch_size 4 exceeds dataset_size 3"
+
+    # sha256 of the int64 bytes of draw(k) for k in STREAM_BLOCKS from
+    # make_stream(7, 2).  A change here is a change of a random stream,
+    # which breaks reproducibility of every CSV that sampler feeds.
+    STREAM_BLOCKS = (0, 1, 7, 31, 1024)
+    STREAM_DIGESTS = {
+        ("srs", 23, 5): "ca4f7a179b5878ad5cf9c1eba24c83a8"
+                        "d73e88bb6127d3b1375dcd27735f76ff",
+        ("epoch", 23, 5): "a14bb5507dfdd855cf7140322ad20c1d"
+                          "cd3bec702c004552a4b7acf78a68bfe0",
+        ("replacement", 23, 5): "45e8c2e13574cf4bfb7ea90c52a0f265"
+                                "5874d5a25fb3f798972af2ed5939a54a",
+        ("srs", 1000, 32): "07fa9b09d41c9b69551321d475093d73"
+                           "f6cec4f7eca9f59902dc018a6912f7f4",
+        ("epoch", 1000, 32): "879405adb486f0abf50909149b908ad3"
+                             "b0549fdd99952a301c6c441adc149b72",
+        ("replacement", 1000, 32): "a0b29e09c9b7e858eaeb0905ed4a2ffe"
+                                   "b0674317ee3c63289903b129e7c68f85",
+        ("srs", 2000, 64): "26ec60758783a558ecceb657d58c569d"
+                           "5c4156ae80ee13632ddd3bfd8f2e6e02",
+        ("epoch", 2000, 64): "e18d0825886a6a2eb9547c2a73b30b31"
+                             "d7a91c19521bf39b6b1987c9255089ff",
+        ("replacement", 2000, 64): "0def4325a568cb4dc87a17932b28c7ce"
+                                   "a7b89dfa7f21226f00f2bdc88e42adaf",
+    }
+
+    @pytest.mark.parametrize("kind, n, b", sorted(STREAM_DIGESTS))
+    def test_random_streams_are_pinned(self, kind, n, b):
+        draw = make_sampler(kind, n, b, make_stream(7, 2))
+        digest = hashlib.sha256()
+        for k in self.STREAM_BLOCKS:
+            block = draw(k)
+            assert block.dtype == np.int64
+            digest.update(block.tobytes())
+        assert digest.hexdigest() == self.STREAM_DIGESTS[kind, n, b]
 
 
 def chi2_quantile_999(dof):
@@ -291,7 +363,7 @@ class TestSubsetRows:
     @pytest.mark.parametrize("n, b", [(6, 2), (5, 3), (7, 1), (3, 3),
                                       (5, 4), (6, 5), (4, 4), (8, 3)])
     def test_subsets_and_orderings_are_uniform(self, n, b):
-        rows = draw_replacement(n, b, make_stream(1234, n * 10 + b), 20_000)
+        rows = _subset_rows(make_stream(1234, n * 10 + b), n, b, 20_000)
         tuples = [tuple(r) for r in rows.tolist()]
         assert_uniform([tuple(sorted(t)) for t in tuples],
                        list(itertools.combinations(range(n), b)))
@@ -351,13 +423,17 @@ class TestSubsetRows:
                                     max_size=5))
         assert_matches_replay(n, b, data.draw(st.integers(0, 2**32)), blocks)
 
-    # (1000, 32): two dense chunks of 1024 and 976 rows.  (24, 4) and
-    # (1024, 32) end on a chunk of exactly n entries, which stays on the row
-    # loop; (23, 4) and (1023, 32) on one of n + 1, which is dense.
+    # A chunk is dense once it writes more than DENSE_PER_SLOT = 4 entries
+    # per pool slot.  (1000, 32, [2000]): two dense chunks of 1024 and 976
+    # rows.  (23, 4, [23]) and (1000, 32, [125]) write exactly 4n entries
+    # and stay on the row loop; (23, 4, [24]) and (1000, 32, [126]) are
+    # dense.  (1024, 32) and (1023, 32) end a dense chunk of 1024 rows with
+    # a sparse one of 32; (24, 4) and (23, 4) with 6 rows are sparse.
     # (70000, 16): sparse chunks of 2048 rows, positions beyond uint16.
     @pytest.mark.parametrize("n, b, blocks", [
         (1000, 32, [2000]), (24, 4, [6]), (23, 4, [6]), (1024, 32, [1056]),
-        (1023, 32, [1056]), (70_000, 16, [3000])])
+        (1023, 32, [1056]), (70_000, 16, [3000]), (23, 4, [23]),
+        (23, 4, [24]), (1000, 32, [125]), (1000, 32, [126])])
     def test_fixed_blocks_match_a_row_by_row_replay(self, n, b, blocks):
         assert_matches_replay(n, b, 17, blocks)
 
@@ -371,7 +447,7 @@ class TestSubsetRows:
         rng = make_stream(9)
         tracemalloc.start()
         try:
-            rows = draw_replacement(n, b, rng, 2 * (BLOCK_ELEMENTS // b))
+            rows = _subset_rows(rng, n, b, 2 * (BLOCK_ELEMENTS // b))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
