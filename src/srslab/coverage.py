@@ -109,11 +109,11 @@ def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    block = max(1, BLOCK_ELEMENTS // batch_size)
     per_replica = []
     for r in range(replicas):
         rng = make_stream(seed, stream_id=r)
         draw = make_sampler(kind, dataset_size, batch_size, rng)
+        block = max(1, BLOCK_ELEMENTS // batch_size)
         counts = np.zeros(dataset_size, dtype=np.int64)
         for done in range(0, iterations, block):
             batches = draw(min(block, iterations - done))

@@ -24,7 +24,7 @@ SAMPLER_KINDS = ("srs", "epoch", "replacement")
 BLOCK_ELEMENTS = 1 << 15
 
 # `_srs_rows` takes its one-pass refill once a chunk writes more than this
-# many entries per pool slot; below it the row loop measured faster.
+# many entries per pool slot: the crossover measured at (N, B) = (23, 4).
 DENSE_PER_SLOT = 4
 
 

@@ -149,6 +149,15 @@ class TestCoverage:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("kind", ["srs", "replacement", "epoch"])
+    def test_zero_batch_size_exits_two(self, tmp_path, capsys, kind):
+        code = main(["coverage", kind, "10", "0", "--iterations", "5",
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: batch_size must be >= 1, got 0\n")
+        assert not (tmp_path / "c.csv").exists()
+
     def test_input_too_large_to_allocate_exits_two(self, tmp_path, capsys):
         # 2**50 int64 slots are 8 PiB, beyond any 47-bit address space
         out_path = tmp_path / "c.csv"

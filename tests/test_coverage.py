@@ -113,6 +113,9 @@ class TestSimulateCoverage:
             simulate_coverage("srs", 10, 2, 5, seed=0, replicas=0)
         with pytest.raises(ValueError):
             simulate_coverage("srs", 2, 10, 5, seed=0)
+        for kind in ("srs", "replacement", "epoch"):
+            with pytest.raises(ValueError, match="batch_size must be >= 1"):
+                simulate_coverage(kind, 10, 0, 5, seed=0)
 
     def test_directional_claim_srs_beats_replacement(self):
         n, b = 1000, 32
