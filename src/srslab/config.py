@@ -145,7 +145,7 @@ def _build_train_config(values: dict[str, Any]) -> TrainConfig:
 
 def parse_config(path) -> TrainConfig:
     """Read a single-run config; missing keys take their defaults."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     return _build_train_config(_parse_lines(text))
 
 
@@ -153,7 +153,7 @@ def parse_grid_config(path) -> GridConfig:
     """Read a comparison-grid config (base run keys plus samplers /
     schedules / seeds).  Missing grid keys default to samplers epoch, srs;
     the base run's schedule; and the base run's seed."""
-    values = _parse_lines(Path(path).read_text(encoding="utf-8"))
+    values = _parse_lines(Path(path).read_text(encoding="utf-8-sig"))
     base = _build_train_config(values)
     schedules = values.get("schedules", ((base.lr_milestones, None),))
     grid = GridConfig(

@@ -51,23 +51,6 @@ class ReplicaReport:
         return self.median("untouched_fraction")
 
 
-def chi_square_uniform(draw_counts: np.ndarray, iterations: int,
-                       batch_size: int) -> tuple[float, int]:
-    """Chi-square statistic of the observed draw counts against the
-    uniform expectation T*B/N per sample.  Returns (statistic, dof) with
-    dof = N - 1."""
-    counts = np.asarray(draw_counts, dtype=np.float64)
-    total = iterations * batch_size
-    if total == 0:
-        raise ValueError("chi-square is undefined for zero total draws")
-    observed = int(counts.sum())
-    if observed != total:
-        raise ValueError(f"draw counts sum to {observed}, expected {total}")
-    expected = total / counts.size
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    return stat, counts.size - 1
-
-
 def expected_untouched_replacement(dataset_size: int, batch_size: int,
                                    iterations: int) -> float:
     """Exact per-sample probability of never being drawn in T iterations of
@@ -80,12 +63,19 @@ def expected_untouched_replacement(dataset_size: int, batch_size: int,
 
 def visit_stats(draw_counts: np.ndarray, iterations: int,
                 batch_size: int) -> VisitStats:
-    """Bundle raw counts into a VisitStats record."""
+    """Bundle raw counts into a VisitStats record.
+
+    The counts must sum to T*B, or ValueError.  chi_square is the sum of
+    (count - E)**2 / E over the N samples, with E = T*B/N the uniform
+    expectation; a zero-draw run (T*B = 0) has nothing to test and
+    records 0.0.
+    """
     counts = np.asarray(draw_counts, dtype=np.int64)
-    if iterations * batch_size > 0:
-        chi, _ = chi_square_uniform(counts, iterations, batch_size)
-    else:
-        chi = 0.0  # degenerate zero-draw run: nothing to test
+    total, observed = iterations * batch_size, int(counts.sum())
+    if observed != total:
+        raise ValueError(f"draw counts sum to {observed}, expected {total}")
+    expected = total / counts.size
+    chi = float(((counts - expected) ** 2 / expected).sum()) if total else 0.0
     return VisitStats(
         draw_counts=counts,
         min_count=int(counts.min()),

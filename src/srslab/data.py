@@ -23,10 +23,6 @@ class SyntheticDataset:
     test_x: np.ndarray
     test_y: np.ndarray
 
-    @property
-    def train_size(self) -> int:
-        return self.train_x.shape[0]
-
 
 def check_blob_params(classes: int, ipc_train: int, ipc_test: int, dim: int,
                       sigma_means: float, sigma_noise: float) -> None:

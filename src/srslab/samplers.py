@@ -55,18 +55,6 @@ def _distinct_probability(n: int, b: int) -> float:
                     - b * math.log(n))
 
 
-def _rejection_is_cheaper(n: int, b: int) -> bool:
-    """Whether rejection rows cost less than permutation rows at (n, b).
-
-    A rejection row is accepted with probability p = _distinct_probability,
-    so it generates b/p int64 entries on average; a permutation row
-    generates n.  Both branches cost about the same per entry (measured
-    on numpy 2.4 from (4, 4) to (50000, 1000)), so the one with fewer
-    expected entries wins.
-    """
-    return b <= n * _distinct_probability(n, b)
-
-
 def _has_repeat(rows: np.ndarray) -> np.ndarray:
     """Per row, whether it holds some value twice."""
     ordered = np.sort(rows, axis=1)
@@ -78,22 +66,24 @@ def _subset_rows(rng: np.random.Generator, n: int, b: int,
     """k rows of b distinct values in [0, n), each row uniform over the
     ordered b-tuples of distinct values, so its set is a uniform b-subset.
 
-    When `_rejection_is_cheaper`, rows are drawn with replacement and the
-    rows with a repeat are replaced: conditioning i.i.d. uniform tuples on
-    being distinct leaves them uniform, and that rule keeps the expected
-    number of draws per row, 1/p, below n/b.  After a first round that
-    fills every row in place, each round draws ceil(r/p) candidate rows
-    for the r rows still holding a repeat (at most a chunk's worth) and
-    fills those rows, in order, with the repeat-free candidates.  The
-    candidates are i.i.d. and which accepted ones are kept depends only on
-    the accept flags, so every kept row stays uniform over distinct
-    tuples.  Otherwise each row is the first b entries of a uniform
-    permutation of range(n).  Rows are made in chunks of about
-    BLOCK_ELEMENTS temporary entries, or one row of n.
+    A rejection row is accepted with probability p = _distinct_probability,
+    so it draws b/p int64 entries on average; a permutation row draws n.
+    Both branches cost about the same per entry (measured on numpy 2.4
+    from (4, 4) to (50000, 1000)), so rejection is taken when b <= n * p.
+    It draws rows with replacement and replaces the rows with a repeat:
+    conditioning i.i.d. uniform tuples on being distinct leaves them
+    uniform.  After a first round that fills every row in place, each
+    round draws ceil(r/p) candidate rows for the r rows still holding a
+    repeat (at most a chunk's worth) and fills those rows, in order, with
+    the repeat-free candidates.  The candidates are i.i.d. and which
+    accepted ones are kept depends only on the accept flags, so every kept
+    row stays uniform over distinct tuples.  Otherwise each row is the
+    first b entries of a uniform permutation of range(n).  Rows are made
+    in chunks of about BLOCK_ELEMENTS temporary entries, or one row of n.
     """
     out = np.empty((k, b), dtype=np.int64)
-    sparse = _rejection_is_cheaper(n, b)
     p = _distinct_probability(n, b)
+    sparse = b <= n * p
     step = max(1, BLOCK_ELEMENTS // (b if sparse else n))
     for start in range(0, k, step):
         rows = out[start:start + step]

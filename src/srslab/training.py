@@ -133,7 +133,7 @@ def train(config: TrainConfig) -> TrainResult:
     data = gen_blobs(config.classes, config.ipc_train, config.ipc_test,
                      config.dim, config.sigma_means, config.sigma_noise,
                      seed=config.seed)
-    n = data.train_size
+    n = config.train_size
     b = config.batch_size
     per_epoch = n // b
     model = init_mlp(config.dim, config.hidden, config.classes,

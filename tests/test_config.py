@@ -1,4 +1,5 @@
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from srslab.cli import main
 from srslab.config import parse_config, parse_grid_config, serialize_config
 from srslab.training import TrainConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -55,6 +58,14 @@ class TestParseConfig:
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "absent.cfg")
+
+    @pytest.mark.parametrize("parse, name", [
+        (parse_config, "train_srs.cfg"), (parse_grid_config, "desk_grid.cfg")])
+    def test_byte_order_mark_is_accepted(self, tmp_path, parse, name):
+        plain = CONFIGS / name
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse(marked) == parse(plain)
 
     def test_malformed_line(self, tmp_path):
         with pytest.raises(ValueError, match="line 1: expected 'key = value', "

@@ -3,31 +3,8 @@ import pytest
 
 from srslab.cli import coverage_table
 from srslab.csvio import format_cell
-from srslab.coverage import (STATS, chi_square_uniform,
-                             expected_untouched_replacement,
+from srslab.coverage import (STATS, expected_untouched_replacement,
                              simulate_coverage, visit_stats)
-
-
-class TestChiSquareUniform:
-    def test_perfectly_uniform_counts_give_zero(self):
-        stat, dof = chi_square_uniform(np.full(10, 6), iterations=12,
-                                       batch_size=5)
-        assert stat == 0.0
-        assert dof == 9
-
-    def test_hand_computed_two_cell_case(self):
-        stat, dof = chi_square_uniform(np.array([2, 0]), iterations=1,
-                                       batch_size=2)
-        assert stat == 2.0  # e=1, (2-1)^2 + (0-1)^2
-        assert dof == 1
-
-    def test_rejects_zero_total(self):
-        with pytest.raises(ValueError):
-            chi_square_uniform(np.zeros(4), iterations=0, batch_size=2)
-
-    def test_rejects_inconsistent_counts(self):
-        with pytest.raises(ValueError):
-            chi_square_uniform(np.array([1, 1]), iterations=2, batch_size=2)
 
 
 class TestExpectedUntouched:
@@ -149,6 +126,21 @@ class TestVisitStats:
         assert stats.max_count == 3
         assert stats.mean_count == 1.0
         assert stats.untouched_fraction == 0.5
+
+    def test_perfectly_uniform_counts_give_zero(self):
+        stats = visit_stats(np.full(10, 6), iterations=12, batch_size=5)
+        assert stats.chi_square == 0.0
+
+    def test_hand_computed_two_cell_case(self):
+        stats = visit_stats(np.array([2, 0]), iterations=1, batch_size=2)
+        assert stats.chi_square == 2.0  # e=1, (2-1)^2 + (0-1)^2
+
+    def test_rejects_inconsistent_counts(self):
+        with pytest.raises(ValueError):
+            visit_stats(np.array([1, 1]), iterations=2, batch_size=2)
+        # A zero-draw run is checked too: its counts must all be zero.
+        with pytest.raises(ValueError):
+            visit_stats(np.array([1, 0]), iterations=0, batch_size=2)
 
     def test_zero_draw_run_is_degenerate_not_an_error(self):
         stats = visit_stats(np.zeros(5, dtype=np.int64), iterations=0,

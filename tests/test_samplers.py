@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from srslab.rng import make_stream
 from srslab.samplers import (BLOCK_ELEMENTS, SAMPLER_KINDS,
-                             _distinct_probability, _rejection_is_cheaper,
-                             _subset_rows, check_sizes, draw_batch_srs,
-                             draw_srs, init_srs, make_sampler,
+                             _distinct_probability, _subset_rows, check_sizes,
+                             draw_batch_srs, draw_srs, init_srs, make_sampler,
                              pool_histogram, refill_count, srs_draw_at)
 
 
@@ -382,7 +381,6 @@ class TestSubsetRows:
                                (permutation, "permuted")):
             only = types.SimpleNamespace(**{method: getattr(rng, method)})
             for n, b in shapes:
-                assert _rejection_is_cheaper(n, b) == (method == "integers")
                 assert _subset_rows(only, n, b, 2).shape == (2, b)
 
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
@@ -440,11 +438,12 @@ class TestSubsetRows:
     def test_redraw_rounds_stay_within_a_chunk(self):
         # (1000, 72) takes rejection with p = 0.073, so about 420 of a
         # chunk's 455 rows fail the first round; refilling them all at
-        # once would draw ceil(420 / p) rows, about 417k entries.
+        # once would draw ceil(420 / p) rows, about 417k entries.  The
+        # stand-in exposes only `integers`, so the rows come from the
+        # rejection branch (see test_branch_rule).
         n, b = 1000, 72
-        assert _rejection_is_cheaper(n, b)
         assert 0.07 < _distinct_probability(n, b) < 0.075
-        rng = make_stream(9)
+        rng = types.SimpleNamespace(integers=make_stream(9).integers)
         tracemalloc.start()
         try:
             rows = _subset_rows(rng, n, b, 2 * (BLOCK_ELEMENTS // b))
