@@ -36,15 +36,23 @@ def count_report(dataset_size: int, batch_size: int, epochs: int) -> str:
     one = configs_one_epoch(params)
     without = params.epochs * one  # configs_without(params), summed once
     with_ = configs_with(params)
-    lines = [
-        f"N {params.dataset_size}",
-        f"B {params.batch_size}",
-        f"batches_per_epoch {params.batches_per_epoch}",
-        f"epochs {params.epochs}",
-        f"configs_one_epoch {one} digits {len(str(one))}",
-        f"configs_without {without} digits {len(str(without))}",
-        f"configs_with {with_} digits {len(str(with_))}",
-    ]
+    # Exact results, not parsed input: lift CPython's 3.10.7+ digit limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        lines = [
+            f"N {params.dataset_size}",
+            f"B {params.batch_size}",
+            f"batches_per_epoch {params.batches_per_epoch}",
+            f"epochs {params.epochs}",
+            f"configs_one_epoch {one} digits {len(str(one))}",
+            f"configs_without {without} digits {len(str(without))}",
+            f"configs_with {with_} digits {len(str(with_))}",
+        ]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return "\n".join(lines) + "\n"
 
 

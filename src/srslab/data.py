@@ -16,8 +16,6 @@ from .rng import make_stream
 
 @dataclass
 class SyntheticDataset:
-    classes: int
-    dim: int
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
@@ -27,12 +25,14 @@ class SyntheticDataset:
 def check_blob_params(classes: int, ipc_train: int, ipc_test: int, dim: int,
                       sigma_means: float, sigma_noise: float) -> None:
     """Raise ValueError unless every size is >= 1 and both scales are > 0."""
-    if min(classes, ipc_train, ipc_test, dim) < 1:
-        raise ValueError(
-            "classes, ipc_train, ipc_test and dim must all be >= 1"
-        )
-    if sigma_means <= 0 or sigma_noise <= 0:
-        raise ValueError("sigma_means and sigma_noise must be > 0")
+    for key, size in (("classes", classes), ("ipc_train", ipc_train),
+                      ("ipc_test", ipc_test), ("dim", dim)):
+        if size < 1:
+            raise ValueError(f"{key} must be >= 1, got {size}")
+    for key, scale in (("sigma_means", sigma_means),
+                       ("sigma_noise", sigma_noise)):
+        if scale <= 0:
+            raise ValueError(f"{key} must be > 0, got {scale}")
 
 
 def gen_blobs(classes: int, ipc_train: int, ipc_test: int, dim: int,
@@ -56,4 +56,4 @@ def gen_blobs(classes: int, ipc_train: int, ipc_test: int, dim: int,
         0.0, sigma_noise, size=(classes * ipc_test, dim)
     )
     test_y = np.repeat(np.arange(classes), ipc_test)
-    return SyntheticDataset(classes, dim, train_x, train_y, test_x, test_y)
+    return SyntheticDataset(train_x, train_y, test_x, test_y)

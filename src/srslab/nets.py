@@ -56,18 +56,11 @@ class Mlp:
         return dict(self.param_items())[name]
 
 
-@dataclass
-class ForwardCache:
-    x: np.ndarray
-    y: np.ndarray
-    a1: np.ndarray
-    probs: np.ndarray
-
-
 def check_mlp_sizes(dim: int, hidden: int, classes: int) -> None:
     """Raise ValueError unless every layer width is >= 1."""
-    if min(dim, hidden, classes) < 1:
-        raise ValueError("dim, hidden and classes must all be >= 1")
+    for key, width in (("dim", dim), ("hidden", hidden), ("classes", classes)):
+        if width < 1:
+            raise ValueError(f"{key} must be >= 1, got {width}")
 
 
 def init_mlp(dim: int, hidden: int, classes: int,
@@ -90,13 +83,13 @@ def _logits(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def forward_loss(model: Mlp, x: np.ndarray,
-                 y: np.ndarray) -> tuple[float, ForwardCache]:
+                 y: np.ndarray) -> tuple[float, tuple]:
     """Mean cross-entropy of softmax outputs over the batch.
 
     The logits are shifted by their row maximum and the label logits read
     before one in-place exp turns them into probabilities, so the loss
     mean(log norm - picked) is finite for any finite logits.  Returns the
-    cached activations needed by `backward`.
+    loss and the cache `(x, y, a1, probs)` that `backward` needs.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -112,28 +105,27 @@ def forward_loss(model: Mlp, x: np.ndarray,
     norm = probs.sum(axis=1)
     probs /= norm[:, None]
     loss = float((np.log(norm) - picked).sum()) / x.shape[0]
-    return loss, ForwardCache(x, y, a1, probs)
+    return loss, (x, y, a1, probs)
 
 
-def backward(model: Mlp, cache: ForwardCache,
-             grads: Mlp | None = None) -> Mlp:
+def backward(model: Mlp, cache: tuple, grads: Mlp | None = None) -> Mlp:
     """Analytic gradient of the mean cross-entropy for every parameter.
 
     Written into `grads` (a buffer with the model's layout) when given,
-    else into a new one.  `cache.probs` is taken over as the logit
+    else into a new one.  The cache's `probs` is taken over as the logit
     gradient and overwritten, so a cache serves one backward pass.
     """
     if grads is None:
         grads = model.zeros_like()
-    n = cache.x.shape[0]
-    dz2 = cache.probs
-    dz2[np.arange(n), cache.y] -= 1.0
+    x, y, a1, dz2 = cache
+    n = x.shape[0]
+    dz2[np.arange(n), y] -= 1.0
     dz2 /= n
-    np.matmul(cache.a1.T, dz2, out=grads.w2)
+    np.matmul(a1.T, dz2, out=grads.w2)
     np.sum(dz2, axis=0, out=grads.b2)
     dz1 = dz2 @ model.w2.T
-    dz1 *= cache.a1 > 0.0
-    np.matmul(cache.x.T, dz1, out=grads.w1)
+    dz1 *= a1 > 0.0
+    np.matmul(x.T, dz1, out=grads.w1)
     np.sum(dz1, axis=0, out=grads.b1)
     return grads
 

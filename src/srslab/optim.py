@@ -1,4 +1,4 @@
-"""SGD with momentum and weight decay, milestone schedules, epoch accounting."""
+"""SGD with momentum and weight decay, and effective-epoch accounting."""
 
 from __future__ import annotations
 
@@ -57,40 +57,6 @@ def sgd_step(model: Mlp, grads: Mlp | Mapping[str, np.ndarray],
         v[:model.weights.size] += opt.weight_decay * model.weights
     model.flat -= learning_rate * v
     return model
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Piecewise-constant rate decayed at each milestone effective epoch."""
-
-    initial_rate: float
-    milestones: tuple[int, ...] = ()
-    decay_factor: float = 0.1
-
-    def __post_init__(self) -> None:
-        if any(m < 1 for m in self.milestones):
-            raise ValueError(
-                f"milestones must be positive epochs, got {self.milestones}"
-            )
-        if self.initial_rate <= 0.0:
-            raise ValueError(f"initial_rate must be > 0, got {self.initial_rate}")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError(
-                f"decay_factor must be in (0, 1), got {self.decay_factor}"
-            )
-        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
-            raise ValueError(
-                f"milestones must be strictly increasing, got {self.milestones}"
-            )
-
-
-def lr_at(schedule: LrSchedule, effective_epoch) -> float:
-    """Rate in force at a given effective epoch: initial_rate times
-    decay_factor to the number of milestones at or before it."""
-    if effective_epoch < 0:
-        raise ValueError(f"effective_epoch must be >= 0, got {effective_epoch}")
-    passed = sum(1 for m in schedule.milestones if m <= effective_epoch)
-    return schedule.initial_rate * schedule.decay_factor ** passed
 
 
 def effective_epoch(iterations_done: int, dataset_size: int,

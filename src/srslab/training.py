@@ -12,8 +12,7 @@ import numpy as np
 from .data import check_blob_params, gen_blobs
 from .nets import (backward, check_mlp_sizes, error_rate, forward_loss,
                    init_mlp)
-from .optim import (LrSchedule, check_optim_params, effective_epoch,
-                    init_optim, lr_at, sgd_step)
+from .optim import check_optim_params, effective_epoch, init_optim, sgd_step
 from .rng import make_stream
 from .samplers import check_kind, check_sizes, make_sampler
 
@@ -50,9 +49,6 @@ class TrainConfig:
     def train_size(self) -> int:
         return self.classes * self.ipc_train
 
-    def schedule(self) -> LrSchedule:
-        return LrSchedule(self.lr, self.lr_milestones, self.lr_decay)
-
     def validate(self) -> None:
         check_kind(self.sampler)
         for f in fields(self):
@@ -67,7 +63,17 @@ class TrainConfig:
         check_sizes(self.train_size, self.batch_size)
         check_optim_params(self.momentum, self.weight_decay)
         make_stream(self.seed)  # validates the seed
-        self.schedule()  # validates lr, lr_decay and the milestones
+        milestones = self.lr_milestones
+        if any(m < 1 for m in milestones):
+            raise ValueError(
+                f"lr_milestones must be positive epochs, got {milestones}")
+        if self.lr <= 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr_decay < 1.0:
+            raise ValueError(f"lr_decay must be in (0, 1), got {self.lr_decay}")
+        if any(b <= a for a, b in zip(milestones, milestones[1:])):
+            raise ValueError(
+                f"lr_milestones must be strictly increasing, got {milestones}")
 
 
 @dataclass
@@ -115,10 +121,18 @@ def shared_prefixes(runs: list[TrainConfig]):
         _SHARED.reset(token)
 
 
+def lr_at(config: TrainConfig, epoch) -> float:
+    """Rate in force at effective epoch `epoch`: lr times lr_decay to the
+    number of lr_milestones at or before it."""
+    if epoch < 0:
+        raise ValueError(f"effective_epoch must be >= 0, got {epoch}")
+    passed = sum(1 for m in config.lr_milestones if m <= epoch)
+    return config.lr * config.lr_decay ** passed
+
+
 def _rates(config: TrainConfig) -> list[float]:
     """Epoch e steps at rates[e]; its row reports rates[e + 1]."""
-    schedule = config.schedule()
-    return [lr_at(schedule, e) for e in range(config.epochs + 1)]
+    return [lr_at(config, e) for e in range(config.epochs + 1)]
 
 
 def train(config: TrainConfig) -> TrainResult:

@@ -12,11 +12,10 @@ import srslab.cli
 import srslab.counting
 import srslab.training
 from srslab.cli import CompareRow, main, records_table, run_grid
-from srslab.config import parse_grid_config
+from srslab.config import parse_config, parse_grid_config
 from srslab.coverage import expected_untouched_replacement
 from srslab.csvio import read_csv, write_csv
-from srslab.optim import LrSchedule, lr_at
-from srslab.training import train
+from srslab.training import lr_at, train
 
 TINY_TRAIN = (
     "classes = 2\nipc_train = 10\nipc_test = 5\ndim = 2\n"
@@ -72,6 +71,19 @@ class TestCount:
         value = line.split()[1]
         assert len(value) == int(line.split()[3]) > 200
         assert value.isdigit()
+
+    def test_values_past_the_int_string_limit_print_in_full(self, capsys):
+        # The counts have 5,076 and 5,077 digits, past CPython's default
+        # limit of 4,300 on str(int); the caller's limit is left as it was.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert main(["count", "100000", "2500"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if " digits " in line]
+        assert len(rows) == 3
+        for _, value, _, digits in rows:
+            assert value.isdigit() and len(value) == int(digits)
+        assert max(int(digits) for *_, digits in rows) > 4300
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     @pytest.mark.parametrize("argv, expected", [
         (["5", "2"],
@@ -188,9 +200,9 @@ class TestTrain:
                                 "train_loss", "test_error",
                                 "wall_iterations"]
         assert len(table.rows) == 4  # one row per effective epoch
-        schedule = LrSchedule(0.1, (2,), 0.1)
+        config = parse_config(cfg)
         for row in table.rows:
-            assert float(row[1]) == lr_at(schedule, float(row[0]))
+            assert float(row[1]) == lr_at(config, float(row[0]))
         assert [int(r[4]) for r in table.rows] == [4, 8, 12, 16]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
@@ -212,6 +224,22 @@ class TestTrain:
         cfg.write_text("batch_size = 0\n", encoding="utf-8")
         code = main(["train", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("line, key", [
+        ("lr = 0", "lr"),
+        ("lr_decay = 1", "lr_decay"),
+        ("lr_milestones = 0,5", "lr_milestones"),
+        ("lr_milestones = 10,10", "lr_milestones"),
+    ])
+    def test_schedule_errors_name_their_key(self, tmp_path, capsys, line,
+                                            key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        code = main(["train", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ")
+        assert err.count("\n") == 1
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

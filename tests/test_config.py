@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -114,9 +115,23 @@ class TestParseConfig:
         for text, message in (
                 ("x = 1\n", "line 1: unknown key 'x'"),
                 ("nonsense\n", "line 1: expected 'key = value', got 'non"),
-                ("lr = -3\n", r"initial_rate must be > 0, got -3\.0")):
+                ("lr = -3\n", r"lr must be > 0, got -3\.0")):
             with pytest.raises(ValueError, match=message):
                 parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("classes", "0", "classes must be >= 1, got 0"),
+        ("ipc_train", "0", "ipc_train must be >= 1, got 0"),
+        ("ipc_test", "-2", "ipc_test must be >= 1, got -2"),
+        ("dim", "0", "dim must be >= 1, got 0"),
+        ("hidden", "0", "hidden must be >= 1, got 0"),
+        ("sigma_means", "0", "sigma_means must be > 0, got 0.0"),
+        ("sigma_noise", "-1.5", "sigma_noise must be > 0, got -1.5"),
+    ])
+    def test_size_errors_name_their_key(self, tmp_path, key, value,
+                                        message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(write(tmp_path, f"{key} = {value}\n"))
 
 
 class TestSerializeConfig:

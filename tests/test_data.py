@@ -8,7 +8,7 @@ def nearest_mean_accuracy(data) -> float:
     """Independent separability check: classify by nearest class mean
     estimated from the training split."""
     means = np.stack([data.train_x[data.train_y == c].mean(axis=0)
-                      for c in range(data.classes)])
+                      for c in np.unique(data.train_y)])
     d2 = ((data.train_x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     return float((d2.argmin(axis=1) == data.train_y).mean())
 

@@ -6,13 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srslab.nets import Mlp
-from srslab.optim import (LrSchedule, effective_epoch, init_optim, lr_at,
-                          sgd_step)
+from srslab.optim import effective_epoch, init_optim, sgd_step
+from srslab.training import TrainConfig, lr_at
 
 
 def scalar_model(value: float) -> Mlp:
     return Mlp(np.array([[value]]), np.zeros(1), np.zeros((1, 1)),
                np.zeros(1))
+
+
+def schedule_run(lr: float, milestones: tuple[int, ...],
+                 decay: float) -> TrainConfig:
+    """A validated run that carries this schedule."""
+    config = TrainConfig(lr=lr, lr_milestones=milestones, lr_decay=decay)
+    config.validate()
+    return config
 
 
 def scalar_grads(value: float) -> dict:
@@ -108,34 +116,34 @@ class TestSgdStep:
 
 class TestLrSchedule:
     def test_mid_schedule_decay(self):
-        schedule = LrSchedule(0.1, (120, 150, 175), 0.1)
+        schedule = schedule_run(0.1, (120, 150, 175), 0.1)
         assert lr_at(schedule, 130) == pytest.approx(0.01, rel=1e-12)
 
     def test_alternate_decay_factor(self):
-        schedule = LrSchedule(0.1, (60, 120, 160), 0.2)
+        schedule = schedule_run(0.1, (60, 120, 160), 0.2)
         assert lr_at(schedule, 61) == pytest.approx(0.02, rel=1e-12)
 
     def test_initial_rate_at_zero(self):
-        schedule = LrSchedule(0.1, (120, 150, 175), 0.1)
+        schedule = schedule_run(0.1, (120, 150, 175), 0.1)
         assert lr_at(schedule, 0) == 0.1
 
     def test_decay_applies_exactly_at_the_milestone(self):
-        schedule = LrSchedule(1.0, (10,), 0.5)
+        schedule = schedule_run(1.0, (10,), 0.5)
         assert lr_at(schedule, 9.999) == 1.0
         assert lr_at(schedule, 10) == 0.5
         assert lr_at(schedule, 10.001) == 0.5  # right-continuous
 
     def test_rejects_bad_schedules(self):
         with pytest.raises(ValueError):
-            LrSchedule(0.0, (10,), 0.1)
+            schedule_run(0.0, (10,), 0.1)
         with pytest.raises(ValueError):
-            LrSchedule(0.1, (10, 10), 0.1)
+            schedule_run(0.1, (10, 10), 0.1)
         with pytest.raises(ValueError):
-            LrSchedule(0.1, (10,), 1.0)
+            schedule_run(0.1, (10,), 1.0)
         with pytest.raises(ValueError):
-            LrSchedule(0.1, (0, 5), 0.1)
+            schedule_run(0.1, (0, 5), 0.1)
         with pytest.raises(ValueError):
-            lr_at(LrSchedule(0.1, (), 0.1), -1)
+            lr_at(schedule_run(0.1, (), 0.1), -1)
 
     @settings(max_examples=50)
     @given(st.lists(st.integers(min_value=1, max_value=300), min_size=0,
@@ -143,7 +151,7 @@ class TestLrSchedule:
            st.floats(min_value=0.05, max_value=0.9),
            st.floats(min_value=1e-4, max_value=10.0))
     def test_step_function_shape(self, milestones, decay, initial):
-        schedule = LrSchedule(initial, tuple(sorted(milestones)), decay)
+        schedule = schedule_run(initial, tuple(sorted(milestones)), decay)
         horizon = (max(milestones) + 5) if milestones else 5
         values = [lr_at(schedule, e) for e in range(horizon + 1)]
         assert all(b <= a for a, b in zip(values, values[1:]))
@@ -170,6 +178,6 @@ class TestEffectiveEpoch:
             effective_epoch(-1, 10, 2)
 
     def test_interoperates_with_lr_at(self):
-        schedule = LrSchedule(0.1, (2,), 0.1)
+        schedule = schedule_run(0.1, (2,), 0.1)
         eff = effective_epoch(20, 100, 10)  # exactly epoch 2
         assert lr_at(schedule, eff) == pytest.approx(0.01, rel=1e-12)

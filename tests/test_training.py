@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import srslab.training
 from srslab.cli import main
 from srslab.nets import backward, forward_loss
-from srslab.optim import effective_epoch, init_optim, lr_at, sgd_step
+from srslab.optim import effective_epoch, init_optim, sgd_step
 from srslab.rng import make_stream
 from srslab.samplers import draw_batch_srs, init_srs
-from srslab.training import TrainConfig, train
+from srslab.training import TrainConfig, lr_at, train
 from test_nets import weighted_grads
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "srsbench" / "spans.py"
@@ -51,9 +51,8 @@ class TestTrainLoop:
         config = dataclasses.replace(
             SEPARABLE, epochs=20, lr_milestones=(5, 12), lr_decay=0.1)
         rows = train(config).rows
-        schedule = config.schedule()
         for row in rows:
-            assert row.learning_rate == lr_at(schedule, row.effective_epoch)
+            assert row.learning_rate == lr_at(config, row.effective_epoch)
 
     def test_two_schedules_produce_full_curves(self):
         # same run twice under different milestone placements
@@ -97,9 +96,9 @@ class TestTrainLoop:
 
         with mock.patch.object(srslab.training, "sgd_step", recording_step):
             train(config)
-        n, schedule = config.train_size, config.schedule()
+        n = config.train_size
         assert len(rates) == epochs * (n // batch_size)
-        assert rates == [lr_at(schedule, effective_epoch(i, n, batch_size))
+        assert rates == [lr_at(config, effective_epoch(i, n, batch_size))
                          for i in range(len(rates))]
 
     def test_diverging_run_raises_with_epoch_and_iteration(self, tmp_path,
