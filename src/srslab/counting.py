@@ -52,10 +52,20 @@ def configs_one_epoch(params: CountParams) -> int:
     B! * C(m, B) is the falling factorial perm(m, B), the product of the B
     integers at one batch position, so the block products are summed and
     the sum is divided once, exactly, by B!; no term divides on its own.
+    g(k) = perm(N - k*B, B) is a polynomial of degree B in k, so once
+    n_B >= 4(B + 1) the sum is taken by Newton's forward differences,
+    sum_{j<=B} D^j g(0) * C(n_B, j + 1), from the B + 1 values g(0..B):
+    O(B^2) big-int subtractions instead of n_B products.
     """
     n, b = params.dataset_size, params.batch_size
-    blocks = sum(math.perm(n - k * b, b)
-                 for k in range(params.batches_per_epoch))
+    n_b = params.batches_per_epoch
+    if n_b < 4 * (b + 1):
+        blocks = sum(math.perm(n - k * b, b) for k in range(n_b))
+    else:
+        diffs, blocks = [math.perm(n - k * b, b) for k in range(b + 1)], 0
+        for j in range(b + 1):
+            blocks += diffs[0] * math.comb(n_b, j + 1)
+            diffs = [y - x for x, y in zip(diffs, diffs[1:])]
     return blocks // math.factorial(b)
 
 

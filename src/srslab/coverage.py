@@ -62,28 +62,26 @@ def expected_untouched_replacement(dataset_size: int, batch_size: int,
 
 
 def visit_stats(draw_counts: np.ndarray, iterations: int,
-                batch_size: int) -> VisitStats:
-    """Bundle raw counts into a VisitStats record.
+                batch_size: int) -> list[VisitStats]:
+    """One VisitStats per row of an (R, N) matrix of replica draw counts.
 
-    The counts must sum to T*B, or ValueError.  chi_square is the sum of
-    (count - E)**2 / E over the N samples, with E = T*B/N the uniform
-    expectation; a zero-draw run (T*B = 0) has nothing to test and
-    records 0.0.
+    Every row must sum to T*B, or ValueError names the first that does
+    not.  A row's chi_square sums (count - E)**2 / E over its N samples,
+    E = T*B/N; a zero-draw run (T*B = 0) has nothing to test: 0.0.
     """
     counts = np.asarray(draw_counts, dtype=np.int64)
-    total, observed = iterations * batch_size, int(counts.sum())
-    if observed != total:
-        raise ValueError(f"draw counts sum to {observed}, expected {total}")
-    expected = total / counts.size
-    chi = float(((counts - expected) ** 2 / expected).sum()) if total else 0.0
-    return VisitStats(
-        draw_counts=counts,
-        min_count=int(counts.min()),
-        max_count=int(counts.max()),
-        mean_count=float(counts.mean()),
-        untouched_fraction=float((counts == 0).sum() / counts.size),
-        chi_square=chi,
-    )
+    total = iterations * batch_size
+    bad = np.flatnonzero(counts.sum(axis=1) != total)
+    if bad.size:
+        raise ValueError(f"draw counts of row {bad[0]} sum to "
+                         f"{counts[bad[0]].sum()}, expected {total}")
+    expected = total / counts.shape[1]  # every row's mean, by the sum check
+    return [VisitStats(row, int(lo), int(hi), expected, float(untouched),
+                       float(((row - expected) ** 2 / expected).sum())
+                       if total else 0.0)
+            for row, lo, hi, untouched in zip(
+                counts, counts.min(axis=1), counts.max(axis=1),
+                (counts == 0).mean(axis=1))]
 
 
 def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
@@ -99,14 +97,12 @@ def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    per_replica = []
-    for r in range(replicas):
-        rng = make_stream(seed, stream_id=r)
-        draw = make_sampler(kind, dataset_size, batch_size, rng)
-        block = max(1, BLOCK_ELEMENTS // batch_size)
-        counts = np.zeros(dataset_size, dtype=np.int64)
+    check_sizes(dataset_size, batch_size)
+    block = max(1, BLOCK_ELEMENTS // batch_size)
+    counts = np.zeros((replicas, dataset_size), dtype=np.int64)
+    for r, row in enumerate(counts):
+        draw = make_sampler(kind, dataset_size, batch_size, make_stream(seed, r))
         for done in range(0, iterations, block):
             batches = draw(min(block, iterations - done))
-            counts += np.bincount(batches.ravel(), minlength=dataset_size)
-        per_replica.append(visit_stats(counts, iterations, batch_size))
-    return ReplicaReport(iterations, per_replica)
+            row += np.bincount(batches.ravel(), minlength=dataset_size)
+    return ReplicaReport(iterations, visit_stats(counts, iterations, batch_size))

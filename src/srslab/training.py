@@ -60,6 +60,9 @@ class TrainConfig:
         check_mlp_sizes(self.dim, self.hidden, self.classes)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size > self.train_size:
+            raise ValueError(f"batch_size {self.batch_size} exceeds "
+                             f"classes × ipc_train = {self.train_size}")
         check_sizes(self.train_size, self.batch_size)
         check_optim_params(self.momentum, self.weight_decay)
         make_stream(self.seed)  # validates the seed

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,15 @@ class TestCount:
         assert main(["count", *argv]) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("n, b", [("100000000000000", "1"),
+                                      ("100000000", "10")])
+    def test_many_batches_per_epoch_finish_quickly(self, capsys, n, b):
+        # 10^14 and 10^7 batches per epoch: a term-by-term sum never ends.
+        start = time.perf_counter()
+        assert main(["count", n, b]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert f"batches_per_epoch {int(n) // int(b)}" in capsys.readouterr().out
 
     def test_invalid_params_exit_nonzero(self, capsys):
         assert main(["count", "2", "5"]) == 2
@@ -240,6 +250,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_batch_size_error_names_config_keys(self, tmp_path, capsys,
+                                                command):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("batch_size = 10000\n", encoding="utf-8")
+        code = main([command, str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "batch_size 10000 exceeds classes × ipc_train = 500" in err
+        assert "dataset_size" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -85,6 +85,17 @@ class TestConfigCounts:
         assert configs_one_epoch(CountParams(n, b)) == sum(
             math.comb(n - k * b, b) for k in range(n // b))
 
+    def test_difference_sum_matches_the_direct_sum(self):
+        # Every shape with n_B >= 4(B + 1) below 60 takes the forward
+        # differences; the rest take the direct sum.  The large shapes put
+        # (50000, 64) and (123457, 13) on the first side, (10^6, 1000) on
+        # the second.
+        shapes = [(n, b) for n in range(1, 60) for b in range(1, n + 1)]
+        for n, b in shapes + [(50_000, 64), (10**6, 1000), (123_457, 13)]:
+            assert configs_one_epoch(CountParams(n, b)) == sum(
+                math.perm(n - k * b, b)
+                for k in range(n // b)) // math.factorial(b), (n, b)
+
     def test_without_four_two_three(self):
         assert configs_without(CountParams(4, 2, epochs=3)) == 21
 

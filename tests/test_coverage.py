@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import srslab.coverage
 from srslab.cli import coverage_table
 from srslab.csvio import format_cell
 from srslab.coverage import (STATS, expected_untouched_replacement,
@@ -83,6 +84,18 @@ class TestSimulateCoverage:
         assert coverage_table(report).rows[-1] == [
             "median", "15", *(format_cell(m) for m in medians)]
 
+    def test_one_visit_stats_call_per_report(self, monkeypatch):
+        shapes = []
+
+        def spy(counts, iterations, batch_size):
+            shapes.append(counts.shape)
+            return visit_stats(counts, iterations, batch_size)
+
+        monkeypatch.setattr(srslab.coverage, "visit_stats", spy)
+        report = simulate_coverage("srs", 30, 4, 9, seed=2, replicas=5)
+        assert shapes == [(5, 30)]
+        assert len(report.per_replica) == 5
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             simulate_coverage("srs", 10, 2, -1, seed=0)
@@ -118,32 +131,72 @@ class TestAnalyticAgreementGrid:
             expected, abs=0.01)
 
 
+def reference_stats(counts, iterations, batch_size):
+    """One row's summaries by the 1-D formulas: (min, max, mean,
+    untouched fraction, chi-square)."""
+    total = iterations * batch_size
+    expected = total / counts.size
+    chi = float(((counts - expected) ** 2 / expected).sum()) if total else 0.0
+    return (int(counts.min()), int(counts.max()), float(counts.mean()),
+            float((counts == 0).sum() / counts.size), chi)
+
+
 class TestVisitStats:
     def test_fields_are_consistent(self):
-        stats = visit_stats(np.array([3, 0, 1, 0]), iterations=2,
-                            batch_size=2)
+        stats = visit_stats(np.array([[3, 0, 1, 0]]), iterations=2,
+                            batch_size=2)[0]
         assert stats.min_count == 0
         assert stats.max_count == 3
         assert stats.mean_count == 1.0
         assert stats.untouched_fraction == 0.5
 
     def test_perfectly_uniform_counts_give_zero(self):
-        stats = visit_stats(np.full(10, 6), iterations=12, batch_size=5)
+        stats = visit_stats(np.full((1, 10), 6), iterations=12,
+                            batch_size=5)[0]
         assert stats.chi_square == 0.0
 
     def test_hand_computed_two_cell_case(self):
-        stats = visit_stats(np.array([2, 0]), iterations=1, batch_size=2)
+        stats = visit_stats(np.array([[2, 0]]), iterations=1,
+                            batch_size=2)[0]
         assert stats.chi_square == 2.0  # e=1, (2-1)^2 + (0-1)^2
 
     def test_rejects_inconsistent_counts(self):
         with pytest.raises(ValueError):
-            visit_stats(np.array([1, 1]), iterations=2, batch_size=2)
+            visit_stats(np.array([[1, 1]]), iterations=2, batch_size=2)
         # A zero-draw run is checked too: its counts must all be zero.
         with pytest.raises(ValueError):
-            visit_stats(np.array([1, 0]), iterations=0, batch_size=2)
+            visit_stats(np.array([[1, 0]]), iterations=0, batch_size=2)
 
     def test_zero_draw_run_is_degenerate_not_an_error(self):
-        stats = visit_stats(np.zeros(5, dtype=np.int64), iterations=0,
-                            batch_size=3)
+        stats = visit_stats(np.zeros((1, 5), dtype=np.int64), iterations=0,
+                            batch_size=3)[0]
         assert stats.chi_square == 0.0
         assert stats.untouched_fraction == 1.0
+
+    @pytest.mark.parametrize("replicas, n, b, t", [(200, 1000, 32, 31),
+                                                   (8, 50000, 64, 781)])
+    def test_rows_match_the_one_dimensional_formulas(self, replicas, n, b,
+                                                     t):
+        rng = np.random.default_rng(n)
+        counts = np.stack([np.bincount(rng.integers(0, n, t * b),
+                                       minlength=n)
+                           for _ in range(replicas)])
+        stats = visit_stats(counts, t, b)
+        assert len(stats) == replicas
+        for row, s in zip(counts, stats):
+            assert np.array_equal(s.draw_counts, row)
+            assert repr(tuple(getattr(s, stat) for stat in STATS)) == repr(
+                reference_stats(row, t, b))
+
+    def test_sum_error_names_the_first_bad_row(self):
+        counts = np.array([[2, 1, 1], [3, 0, 0], [0, 2, 2]])
+        with pytest.raises(ValueError,
+                           match=r"^draw counts of row 1 sum to 3, "
+                                 r"expected 4$"):
+            visit_stats(counts, iterations=2, batch_size=2)
+
+    def test_zero_draw_matrix_is_untouched_on_every_row(self):
+        stats = visit_stats(np.zeros((4, 7), dtype=np.int64), iterations=0,
+                            batch_size=3)
+        assert [(s.chi_square, s.untouched_fraction) for s in stats] == [
+            (0.0, 1.0)] * 4
