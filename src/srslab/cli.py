@@ -6,6 +6,7 @@ import argparse
 import statistics
 import sys
 from dataclasses import astuple, dataclass, fields, replace
+from decimal import Decimal
 
 from .config import GridConfig, parse_config, parse_grid_config
 from .counting import CountParams, configs_one_epoch, configs_with
@@ -31,28 +32,17 @@ class CompareRow:
 
 def count_report(dataset_size: int, batch_size: int, epochs: int) -> str:
     """Exact decimal counts plus their digit lengths, one `key value` line
-    each."""
+    each, through `Decimal`, which CPython's `str(int)` digit limit skips."""
     params = CountParams(dataset_size, batch_size, epochs)
     one = configs_one_epoch(params)
-    without = params.epochs * one  # configs_without(params), summed once
-    with_ = configs_with(params)
-    # Exact results, not parsed input: lift CPython's 3.10.7+ digit limit.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        lines = [
-            f"N {params.dataset_size}",
-            f"B {params.batch_size}",
-            f"batches_per_epoch {params.batches_per_epoch}",
-            f"epochs {params.epochs}",
-            f"configs_one_epoch {one} digits {len(str(one))}",
-            f"configs_without {without} digits {len(str(without))}",
-            f"configs_with {with_} digits {len(str(with_))}",
-        ]
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    lines = [f"N {params.dataset_size}", f"B {params.batch_size}",
+             f"batches_per_epoch {params.batches_per_epoch}",
+             f"epochs {params.epochs}"]
+    for name, value in (("configs_one_epoch", one),
+                        ("configs_without", params.epochs * one),
+                        ("configs_with", configs_with(params))):
+        text = str(Decimal(value))
+        lines.append(f"{name} {text} digits {len(text)}")
     return "\n".join(lines) + "\n"
 
 
@@ -176,7 +166,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

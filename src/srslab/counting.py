@@ -7,6 +7,7 @@ no value is ever rounded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,8 +15,9 @@ from .samplers import check_sizes
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k), exact at any size.  Unlike `math.comb`, k > n is an error,
-    not 0."""
+    """C(n, k), exact for any n and any k <= sys.maxsize; a larger k is an
+    OverflowError from `math.comb`.  Unlike `math.comb`, k > n is an
+    error, not 0."""
     if n < 0 or k < 0:
         raise ValueError(f"binomial needs n, k >= 0, got n={n}, k={k}")
     if k > n:
@@ -37,6 +39,9 @@ class CountParams:
 
     def __post_init__(self) -> None:
         check_sizes(self.dataset_size, self.batch_size)
+        if self.batch_size > sys.maxsize:  # k of math.perm and math.comb
+            raise ValueError(f"batch_size must be <= {sys.maxsize}, "
+                             f"got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 

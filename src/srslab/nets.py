@@ -130,13 +130,8 @@ def backward(model: Mlp, cache: tuple, grads: Mlp | None = None) -> Mlp:
     return grads
 
 
-def predict(model: Mlp, x: np.ndarray) -> np.ndarray:
-    """Argmax class labels for a feature matrix."""
-    _, z2 = _logits(model, np.asarray(x, dtype=np.float64))
-    return z2.argmax(axis=1)
-
-
 def error_rate(model: Mlp, x: np.ndarray, y: np.ndarray) -> float:
-    """Misclassification rate in [0, 1]."""
+    """Misclassification rate in [0, 1] of the argmax class labels."""
     y = np.asarray(y)
-    return float(np.count_nonzero(predict(model, x) != y) / y.size)
+    _, z2 = _logits(model, np.asarray(x, dtype=np.float64))
+    return float(np.count_nonzero(z2.argmax(axis=1) != y) / y.size)

@@ -3,7 +3,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -36,12 +35,12 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_python(*args, cwd):
+def run_python(*args, cwd, timeout=120):
     """Run a fresh interpreter with the package source on its path."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(srslab.__file__).parent.parent))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestCount:
@@ -86,6 +85,22 @@ class TestCount:
         assert max(int(digits) for *_, digits in rows) > 4300
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    def test_report_never_sets_the_int_string_limit(self, monkeypatch,
+                                                    capsys):
+        # The limit is interpreter-wide: other code in the process keeps
+        # its protection while a report prints.
+        def refuse(limit):
+            raise AssertionError("count_report set the int string limit")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse,
+                            raising=False)
+        assert main(["count", "100000", "2500"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if " digits " in line]
+        assert [int(digits) for *_, digits in rows] == [5076, 5076, 5077]
+        for _, value, _, digits in rows:
+            assert value.isdigit() and len(value) == int(digits)
+
     @pytest.mark.parametrize("argv, expected", [
         (["5", "2"],
          "N 5\nB 2\nbatches_per_epoch 2\nepochs 1\n"
@@ -115,18 +130,37 @@ class TestCount:
 
     @pytest.mark.parametrize("n, b", [("100000000000000", "1"),
                                       ("100000000", "10")])
-    def test_many_batches_per_epoch_finish_quickly(self, capsys, n, b):
-        # 10^14 and 10^7 batches per epoch: a term-by-term sum never ends.
-        start = time.perf_counter()
-        assert main(["count", n, b]) == 0
-        assert time.perf_counter() - start < 1.0
-        assert f"batches_per_epoch {int(n) // int(b)}" in capsys.readouterr().out
+    def test_many_batches_per_epoch_finish_quickly(self, tmp_path, n, b):
+        # 10^14 and 10^7 batches per epoch: a term-by-term sum never ends,
+        # so the count runs in a child that the timeout kills, and the
+        # child times main itself, leaving out interpreter start.
+        script = (
+            "import sys, time\n"
+            "from srslab.cli import main\n"
+            "start = time.perf_counter()\n"
+            f"code = main(['count', '{n}', '{b}'])\n"
+            "print(time.perf_counter() - start, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        done = run_python("-c", script, cwd=tmp_path, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stderr) < 1.0
+        assert f"batches_per_epoch {int(n) // int(b)}" in done.stdout
 
     def test_invalid_params_exit_nonzero(self, capsys):
         assert main(["count", "2", "5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1  # one-line diagnostic
+
+    def test_batch_size_past_maxsize_exits_two(self, capsys):
+        # math.perm and math.comb take no k above sys.maxsize
+        b = sys.maxsize + 1
+        assert main(["count", str(10 * b), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: batch_size must be <= {sys.maxsize}, got {b}\n")
+        assert captured.out == ""
 
 
 class TestCoverage:
@@ -263,6 +297,16 @@ class TestTrain:
         assert "batch_size 10000 exceeds classes × ipc_train = 500" in err
         assert "dataset_size" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_input_too_large_for_numpy_exits_two(self, tmp_path, capsys):
+        # np.repeat takes a C long, so 10^20 samples per class overflow
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("ipc_train = 99999999999999999999\n", encoding="utf-8")
+        out_path = tmp_path / "x.csv"
+        assert main(["train", str(cfg), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
