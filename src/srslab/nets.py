@@ -1,56 +1,53 @@
-"""One-hidden-layer rectifier network with softmax cross-entropy.
+"""Rectifier networks with softmax cross-entropy.
 
-Deliberately the smallest model whose training is nonconvex, so sampler
+`Mlp` holds a network of any depth; `init_mlp` builds one hidden layer,
+deliberately the smallest model whose training is nonconvex, so sampler
 effects are observable while the gradients stay cheap to verify against
 finite differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-PARAM_NAMES = ("w1", "b1", "w2", "b2")
-_STORAGE_ORDER = ("w1", "w2", "b1", "b2")
 
-
-@dataclass(eq=False)
 class Mlp:
-    """The four parameters as named views into one contiguous float64
-    buffer `flat`, stored w1, w2, b1, b2 so that `weights`, the entries
-    of both weight matrices, is a single leading slice.  Gradients use
+    """Layer k's weight `ws[k]` (fan-in, fan-out) and bias `bs[k]` as
+    views into one contiguous float64 buffer `flat`, which stores every
+    weight and then every bias, so that `weights`, the entries of all
+    weight matrices, is a single leading slice.  Built as
+    `Mlp(w1, b1, w2, b2, ...)`; the constructor copies its arrays into a
+    fresh buffer and names each view as in `param_items`.  Gradients use
     the same class, so a whole-model update is a few whole-buffer ops.
-    The constructor copies its arrays into a fresh buffer.
     """
 
-    w1: np.ndarray  # (dim, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden, classes)
-    b2: np.ndarray  # (classes,)
-    flat: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        parts = [np.asarray(getattr(self, name), dtype=np.float64)
-                 for name in _STORAGE_ORDER]
+    def __init__(self, *params: np.ndarray) -> None:
+        depth, odd = divmod(len(params), 2)
+        if odd or not depth:
+            raise TypeError(f"Mlp takes weight, bias pairs, got {len(params)}")
+        parts = [np.asarray(p, dtype=np.float64) for p in params]
+        parts = parts[0::2] + parts[1::2]
         self.flat = np.concatenate([p.ravel() for p in parts])
-        offset = 0
-        for name, part in zip(_STORAGE_ORDER, parts):
-            view = self.flat[offset:offset + part.size].reshape(part.shape)
+        bounds = np.cumsum([0] + [p.size for p in parts])
+        views = [self.flat[i:j].reshape(p.shape)
+                 for i, j, p in zip(bounds, bounds[1:], parts)]
+        self.ws, self.bs = views[:depth], views[depth:]
+        self.weights = self.flat[:bounds[depth]]
+        for name, view in self.param_items():
             setattr(self, name, view)
-            offset += part.size
-        self.weights = self.flat[:self.w1.size + self.w2.size]
 
     def zeros_like(self) -> Mlp:
         """A zero buffer with this layout, e.g. for gradients."""
         return Mlp(*(np.zeros_like(p) for _, p in self.param_items()))
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)) for name in PARAM_NAMES]
+        """(name, view) in layer order: w1, b1, w2, b2, ..."""
+        return [(f"{kind}{k}", p)
+                for k, layer in enumerate(zip(self.ws, self.bs), start=1)
+                for kind, p in zip("wb", layer)]
 
     def __iter__(self):
-        return iter(PARAM_NAMES)
+        return (name for name, _ in self.param_items())
 
     def __getitem__(self, name: str) -> np.ndarray:
         return dict(self.param_items())[name]
@@ -65,21 +62,27 @@ def check_mlp_sizes(dim: int, hidden: int, classes: int) -> None:
 
 def init_mlp(dim: int, hidden: int, classes: int,
              rng: np.random.Generator) -> Mlp:
-    """Gaussian weights scaled by 1/sqrt(fan-in), zero biases."""
+    """Gaussian weights / sqrt(fan-in), drawn in layer order; zero biases."""
     check_mlp_sizes(dim, hidden, classes)
-    w1 = rng.normal(0.0, 1.0, size=(dim, hidden)) / np.sqrt(dim)
-    w2 = rng.normal(0.0, 1.0, size=(hidden, classes)) / np.sqrt(hidden)
-    return Mlp(w1, np.zeros(hidden), w2, np.zeros(classes))
+    widths = (dim, hidden, classes)
+    params = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        params += [rng.normal(0.0, 1.0, size=(fan_in, fan_out))
+                   / np.sqrt(fan_in), np.zeros(fan_out)]
+    return Mlp(*params)
 
 
-def _logits(model: Mlp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and output logits, each made in place."""
-    a1 = x @ model.w1
-    a1 += model.b1
-    np.maximum(a1, 0.0, out=a1)
-    z2 = a1 @ model.w2
-    z2 += model.b2
-    return a1, z2
+def _logits(model: Mlp, x: np.ndarray) -> tuple[list, np.ndarray]:
+    """Every layer's input, `x` and then each hidden activation, and the
+    output logits; each activation and the logits are made in place."""
+    acts = [x]
+    for w, b in zip(model.ws[:-1], model.bs[:-1]):
+        a = acts[-1] @ w
+        a += b
+        acts.append(np.maximum(a, 0.0, out=a))
+    z = acts[-1] @ model.ws[-1]
+    z += model.bs[-1]
+    return acts, z
 
 
 def forward_loss(model: Mlp, x: np.ndarray,
@@ -89,23 +92,21 @@ def forward_loss(model: Mlp, x: np.ndarray,
     The logits are shifted by their row maximum and the label logits read
     before one in-place exp turns them into probabilities, so the loss
     mean(log norm - picked) is finite for any finite logits.  Returns the
-    loss and the cache `(x, y, a1, probs)` that `backward` needs.
+    loss and the cache `(y, acts, probs)` that `backward` needs.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    if x.ndim != 2 or x.shape[1] != model.w1.shape[0]:
-        raise ValueError(
-            f"batch features must be (n, {model.w1.shape[0]}), "
-            f"got {x.shape}"
-        )
-    a1, probs = _logits(model, x)
+    dim = model.ws[0].shape[0]
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ValueError(f"batch features must be (n, {dim}), got {x.shape}")
+    acts, probs = _logits(model, x)
     probs -= probs.max(axis=1, keepdims=True)
     picked = probs[np.arange(x.shape[0]), y]
     np.exp(probs, out=probs)
     norm = probs.sum(axis=1)
     probs /= norm[:, None]
     loss = float((np.log(norm) - picked).sum()) / x.shape[0]
-    return loss, (x, y, a1, probs)
+    return loss, (y, acts, probs)
 
 
 def backward(model: Mlp, cache: tuple, grads: Mlp | None = None) -> Mlp:
@@ -117,21 +118,21 @@ def backward(model: Mlp, cache: tuple, grads: Mlp | None = None) -> Mlp:
     """
     if grads is None:
         grads = model.zeros_like()
-    x, y, a1, dz2 = cache
-    n = x.shape[0]
-    dz2[np.arange(n), y] -= 1.0
-    dz2 /= n
-    np.matmul(a1.T, dz2, out=grads.w2)
-    np.sum(dz2, axis=0, out=grads.b2)
-    dz1 = dz2 @ model.w2.T
-    dz1 *= a1 > 0.0
-    np.matmul(x.T, dz1, out=grads.w1)
-    np.sum(dz1, axis=0, out=grads.b1)
+    y, acts, dz = cache
+    n = acts[0].shape[0]
+    dz[np.arange(n), y] -= 1.0
+    dz /= n
+    for k in reversed(range(len(acts))):
+        np.matmul(acts[k].T, dz, out=grads.ws[k])
+        np.sum(dz, axis=0, out=grads.bs[k])
+        if k:
+            dz = dz @ model.ws[k].T
+            dz *= acts[k] > 0.0
     return grads
 
 
 def error_rate(model: Mlp, x: np.ndarray, y: np.ndarray) -> float:
     """Misclassification rate in [0, 1] of the argmax class labels."""
     y = np.asarray(y)
-    _, z2 = _logits(model, np.asarray(x, dtype=np.float64))
-    return float(np.count_nonzero(z2.argmax(axis=1) != y) / y.size)
+    _, z = _logits(model, np.asarray(x, dtype=np.float64))
+    return float(np.count_nonzero(z.argmax(axis=1) != y) / y.size)

@@ -45,11 +45,13 @@ def sgd_step(model: Mlp, grads: Mlp | Mapping[str, np.ndarray],
     """One in-place update: v = mu*v + g + wd*w (matrices only), then
     w = w - lr*v, each a whole-buffer op.  With momentum and decay both
     zero this reduces to the plain gradient step w - lr*g exactly.
-    `grads` is a buffer from `backward` or a name -> array mapping."""
+    `grads` is a buffer from `backward` or a map of the model's names."""
     if learning_rate <= 0.0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
     if not isinstance(grads, Mlp):
-        grads = Mlp(**grads)
+        if differ := sorted(set(grads) ^ set(model)):
+            raise ValueError(f"gradient names differ from the model: {differ}")
+        grads = Mlp(*(grads[name] for name in model))
     v = opt.velocities
     v *= opt.momentum
     v += grads.flat

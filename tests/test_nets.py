@@ -65,6 +65,52 @@ def random_instance(rng):
     return model, x, y
 
 
+def two_layer_pass(model, x, y):
+    """The one-hidden-layer forward and backward pass with every
+    parameter written out by name: the numpy calls, in their order, that
+    the library made before its layers became a loop.  Returns the loss,
+    the probabilities, the gradient buffer and the error rate."""
+    a1 = x @ model.w1
+    a1 += model.b1
+    np.maximum(a1, 0.0, out=a1)
+    z2 = a1 @ model.w2
+    z2 += model.b2
+    error = float(np.count_nonzero(z2.argmax(axis=1) != y) / y.size)
+    probs = z2
+    probs -= probs.max(axis=1, keepdims=True)
+    picked = probs[np.arange(x.shape[0]), y]
+    np.exp(probs, out=probs)
+    norm = probs.sum(axis=1)
+    probs /= norm[:, None]
+    loss = float((np.log(norm) - picked).sum()) / x.shape[0]
+    grads = model.zeros_like()
+    dz2 = probs.copy()
+    n = x.shape[0]
+    dz2[np.arange(n), y] -= 1.0
+    dz2 /= n
+    np.matmul(a1.T, dz2, out=grads.w2)
+    np.sum(dz2, axis=0, out=grads.b2)
+    dz1 = dz2 @ model.w2.T
+    dz1 *= a1 > 0.0
+    np.matmul(x.T, dz1, out=grads.w1)
+    np.sum(dz1, axis=0, out=grads.b1)
+    return loss, probs, grads, error
+
+
+def hand_built(widths, rng):
+    """An Mlp with one layer per consecutive pair of widths, every
+    weight and bias drawn at random."""
+    params = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        params += [rng.normal(size=(fan_in, fan_out)),
+                   rng.normal(size=fan_out)]
+    return Mlp(*params)
+
+
+DEPTHS = pytest.mark.parametrize("widths", [(4, 2), (4, 5, 3, 2)],
+                                 ids=["depth1", "depth3"])
+
+
 class TestForwardLoss:
     def test_zero_model_gives_log_classes(self):
         classes = 7
@@ -134,6 +180,22 @@ class TestBackward:
         assert np.all(grads["w1"] == 0.0)
         assert np.all(grads["b1"] == 0.0)
 
+    def test_bits_match_the_two_layer_pass_written_by_name(self):
+        rng = make_stream(21)
+        cases = [random_instance(rng) for _ in range(20)]
+        desk = init_mlp(32, 64, 100, rng)
+        cases.append((desk, rng.normal(size=(64, 32)),
+                      rng.integers(0, 100, size=64)))
+        for model, x, y in cases:
+            loss, probs, grads, error = two_layer_pass(model, x, y)
+            got_loss, cache = forward_loss(model, x, y)
+            assert got_loss == loss
+            assert np.array_equal(cache[-1], probs)
+            got = backward(model, cache)
+            for name, g in grads.param_items():
+                assert np.array_equal(got[name], g), name
+            assert error_rate(model, x, y) == error
+
 
 class TestParameterBuffer:
     def test_named_parameters_are_views_of_one_buffer(self):
@@ -157,14 +219,68 @@ class TestParameterBuffer:
         assert backward(model, forward_loss(model, x, y)[1], grads) is grads
         assert np.array_equal(grads.flat, fresh.flat)
 
+    def test_init_rejects_degenerate_sizes(self):
+        with pytest.raises(ValueError):
+            init_mlp(0, 3, 2, make_stream(0))
 
-class TestPredict:
+
+class TestLayers:
+    @DEPTHS
+    def test_names_run_in_layer_order(self, widths):
+        model = hand_built(widths, make_stream(3))
+        names = [f"{kind}{k}" for k in range(1, len(widths))
+                 for kind in "wb"]
+        assert [name for name, _ in model.param_items()] == names
+        assert list(model) == names
+        for name, w in model.param_items():
+            assert getattr(model, name) is w and model[name] is w
+
+    @DEPTHS
+    def test_views_share_one_buffer_weights_first(self, widths):
+        model = hand_built(widths, make_stream(4))
+        for name, w in model.param_items():
+            assert np.shares_memory(w, model.flat), name
+        assert model.weights.size == sum(w.size for w in model.ws)
+        model.flat[:] = 7.0
+        model.weights[:] = 0.0
+        assert not any(w.any() for w in model.ws)
+        assert all((b == 7.0).all() for b in model.bs)
+
+    @DEPTHS
+    def test_copies_keep_the_layout(self, widths):
+        model = hand_built(widths, make_stream(5))
+        copy = Mlp(*(a for _, a in model.param_items()))
+        zeros = model.zeros_like()
+        for other in (copy, zeros):
+            assert not np.shares_memory(other.flat, model.flat)
+            assert [(n, a.shape) for n, a in other.param_items()] == [
+                (n, a.shape) for n, a in model.param_items()]
+            assert other.weights.size == model.weights.size
+        assert np.array_equal(copy.flat, model.flat)
+        assert not zeros.flat.any()
+
+    def test_arrays_must_come_in_weight_bias_pairs(self):
+        for count in (0, 3):
+            with pytest.raises(TypeError):
+                Mlp(*(np.ones((1, 1)) for _ in range(count)))
+
+    @DEPTHS
+    def test_backward_matches_finite_differences(self, widths):
+        rng = make_stream(6)
+        model = hand_built(widths, rng)
+        x = rng.normal(size=(7, widths[0]))
+        y = rng.integers(0, widths[-1], size=7)
+        analytic = backward(model, forward_loss(model, x, y)[1])
+        numeric = finite_difference_grads(model, x, y)
+        for name in analytic:
+            a, f = analytic[name], numeric[name]
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
+            assert (np.abs(a - f) / denom).max() < 1e-4, name
+
+
+class TestErrorRate:
     def test_error_rate_counts_mismatches(self):
         model = Mlp(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
         x = np.array([[5.0, 0.0], [0.0, 5.0], [5.0, 0.0]])
         assert error_rate(model, x, np.array([0, 1, 0])) == 0.0
         assert error_rate(model, x, np.array([0, 1, 1])) == pytest.approx(1 / 3)
-
-    def test_init_rejects_degenerate_sizes(self):
-        with pytest.raises(ValueError):
-            init_mlp(0, 3, 2, make_stream(0))

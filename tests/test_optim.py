@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,21 @@ class TestSgdStep:
                 w -= 0.05 * vel[name]
         for name, w in model.param_items():
             np.testing.assert_allclose(w, ref[name], rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("names, differ", [
+        (("w1", "b1", "w2"), "['b2']"),
+        (("w1", "b1", "w2", "b2", "w3"), "['w3']"),
+    ], ids=["missing_b2", "extra_w3"])
+    def test_rejects_grads_named_unlike_the_model(self, names, differ):
+        model = scalar_model(1.0)
+        opt = init_optim(model, momentum=0.9, weight_decay=0.5)
+        opt.velocities[:] = 0.25
+        before = model.flat.copy(), opt.velocities.copy()
+        grads = {name: np.ones((1, 1)) for name in names}
+        with pytest.raises(ValueError, match=re.escape(differ)):
+            sgd_step(model, grads, 0.1, opt)
+        assert np.array_equal(model.flat, before[0])
+        assert np.array_equal(opt.velocities, before[1])
 
     def test_rejects_nonpositive_rate(self):
         model = scalar_model(1.0)
