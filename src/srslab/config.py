@@ -20,11 +20,12 @@ from .training import TrainConfig
 ScheduleSpec = tuple[tuple[int, ...], float]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridConfig:
     """Cross-product recipe for the comparison grid: each (cell, seed)
     run is `base` with its sampler, schedule and seed set.  Every schedule
-    carries its decay; the file reader fills in a missing one."""
+    carries its decay; the file reader fills in a missing one.  Building
+    one rejects an empty or repeated grid key, then any run `runs` rejects."""
 
     base: TrainConfig
     samplers: tuple[str, ...]
@@ -38,16 +39,21 @@ class GridConfig:
 
     def runs(self) -> list[TrainConfig]:
         """Every (cell, seed) run: cells in `cells()` order, each cell's
-        seeds in turn."""
-        return [dataclasses.replace(self.base, sampler=sampler,
-                                    lr_milestones=milestones, lr_decay=decay,
-                                    seed=seed)
-                for sampler, milestones, decay in self.cells()
-                for seed in self.seeds]
+        seeds in turn; a rejected run's error is prefixed with both."""
+        runs = []
+        for cell in self.cells():
+            sampler, milestones, decay = cell
+            for seed in self.seeds:
+                try:
+                    runs.append(dataclasses.replace(
+                        self.base, sampler=sampler, lr_milestones=milestones,
+                        lr_decay=decay, seed=seed))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"grid cell {cell} seed {seed}: {exc}") from exc
+        return runs
 
-    def validate(self) -> None:
-        """Reject an empty or repeating grid key, then every (cell, seed)
-        run that `TrainConfig.validate` rejects, before any run starts."""
+    def __post_init__(self) -> None:
         for key, values in (("samplers", self.samplers),
                             ("schedules", self.schedules),
                             ("seeds", self.seeds)):
@@ -59,14 +65,7 @@ class GridConfig:
                     f"{key}: {repeated[0]!r} appears more than once, which "
                     f"would repeat grid cells"
                 )
-        for run in self.runs():
-            try:
-                run.validate()
-            except ValueError as exc:
-                cell = (run.sampler, run.lr_milestones, run.lr_decay)
-                raise ValueError(
-                    f"grid cell {cell} seed {run.seed}: {exc}"
-                ) from exc
+        self.runs()
 
 
 def _tuple_of(parse_item: Callable[[str], Any]) -> Callable[[str], tuple]:
@@ -137,10 +136,7 @@ def _parse_lines(text: str) -> dict[str, Any]:
 
 
 def _build_train_config(values: dict[str, Any]) -> TrainConfig:
-    fields = {k: v for k, v in values.items() if k in _TRAIN_KEYS}
-    config = dataclasses.replace(TrainConfig(), **fields)
-    config.validate()
-    return config
+    return TrainConfig(**{k: v for k, v in values.items() if k in _TRAIN_KEYS})
 
 
 def parse_config(path) -> TrainConfig:
@@ -156,15 +152,13 @@ def parse_grid_config(path) -> GridConfig:
     values = _parse_lines(Path(path).read_text(encoding="utf-8-sig"))
     base = _build_train_config(values)
     schedules = values.get("schedules", ((base.lr_milestones, None),))
-    grid = GridConfig(
+    return GridConfig(
         base=base,
         samplers=values.get("samplers", ("epoch", "srs")),
         schedules=tuple((milestones, base.lr_decay if decay is None else decay)
                         for milestones, decay in schedules),
         seeds=values.get("seeds", (base.seed,)),
     )
-    grid.validate()
-    return grid
 
 
 def serialize_config(config: TrainConfig) -> str:

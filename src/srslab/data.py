@@ -48,12 +48,9 @@ def gen_blobs(classes: int, ipc_train: int, ipc_test: int, dim: int,
                       sigma_noise)
     rng = make_stream(seed)
     means = rng.normal(0.0, sigma_means, size=(classes, dim))
-    train_x = np.repeat(means, ipc_train, axis=0) + rng.normal(
-        0.0, sigma_noise, size=(classes * ipc_train, dim)
-    )
-    train_y = np.repeat(np.arange(classes), ipc_train)
-    test_x = np.repeat(means, ipc_test, axis=0) + rng.normal(
-        0.0, sigma_noise, size=(classes * ipc_test, dim)
-    )
-    test_y = np.repeat(np.arange(classes), ipc_test)
-    return SyntheticDataset(train_x, train_y, test_x, test_y)
+    splits = []
+    for ipc in (ipc_train, ipc_test):
+        splits += [np.repeat(means, ipc, axis=0) + rng.normal(
+            0.0, sigma_noise, size=(classes * ipc, dim)),
+            np.repeat(np.arange(classes), ipc)]
+    return SyntheticDataset(*splits)

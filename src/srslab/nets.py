@@ -16,8 +16,8 @@ class Mlp:
     views into one contiguous float64 buffer `flat`, which stores every
     weight and then every bias, so that `weights`, the entries of all
     weight matrices, is a single leading slice.  Built as
-    `Mlp(w1, b1, w2, b2, ...)`; the constructor copies its arrays into a
-    fresh buffer and names each view as in `param_items`.  Gradients use
+    `Mlp(w1, b1, w2, b2, ...)` from layers that chain; it copies them into
+    a fresh buffer and names each view as in `param_items`.  Gradients use
     the same class, so a whole-model update is a few whole-buffer ops.
     """
 
@@ -26,7 +26,12 @@ class Mlp:
         if odd or not depth:
             raise TypeError(f"Mlp takes weight, bias pairs, got {len(params)}")
         parts = [np.asarray(p, dtype=np.float64) for p in params]
-        parts = parts[0::2] + parts[1::2]
+        ws, bs = parts[0::2], parts[1::2]
+        if (any(w.ndim != 2 for w in ws)
+                or [b.shape for b in bs] != [w.shape[1:] for w in ws]
+                or [w.shape[0] for w in ws[1:]] != [b.size for b in bs[:-1]]):
+            raise ValueError(f"layers do not chain: {[p.shape for p in parts]}")
+        parts = ws + bs
         self.flat = np.concatenate([p.ravel() for p in parts])
         bounds = np.cumsum([0] + [p.size for p in parts])
         views = [self.flat[i:j].reshape(p.shape)

@@ -45,12 +45,15 @@ def sgd_step(model: Mlp, grads: Mlp | Mapping[str, np.ndarray],
     """One in-place update: v = mu*v + g + wd*w (matrices only), then
     w = w - lr*v, each a whole-buffer op.  With momentum and decay both
     zero this reduces to the plain gradient step w - lr*g exactly.
-    `grads` is a buffer from `backward` or a map of the model's names."""
+    `grads` is a buffer from `backward` or a map shaped like the model."""
     if learning_rate <= 0.0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
     if not isinstance(grads, Mlp):
         if differ := sorted(set(grads) ^ set(model)):
             raise ValueError(f"gradient names differ from the model: {differ}")
+        if differ := [name for name, p in model.param_items()
+                      if np.shape(grads[name]) != p.shape]:
+            raise ValueError(f"gradient shapes differ from the model: {differ}")
         grads = Mlp(*(grads[name] for name in model))
     v = opt.velocities
     v *= opt.momentum

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,11 +22,12 @@ MODEL_STREAM = 1
 SAMPLER_STREAM = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """One training run.  Every field has a default; the optimizer block
-    (batch 64, rate 0.1, momentum 0.9, decay 0.0005, factor 0.1) is the
-    standard recipe this harness scales down."""
+    """One training run, checked by `validate` whenever one is built.
+    Every field has a default; the optimizer block (batch 64, rate 0.1,
+    momentum 0.9, decay 0.0005, factor 0.1) is the standard recipe this
+    harness scales down."""
 
     sampler: str = "srs"
     classes: int = 10
@@ -44,6 +45,9 @@ class TrainConfig:
     lr_decay: float = 0.1
     epochs: int = 200
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def train_size(self) -> int:
@@ -77,6 +81,9 @@ class TrainConfig:
         if any(b <= a for a, b in zip(milestones, milestones[1:])):
             raise ValueError(
                 f"lr_milestones must be strictly increasing, got {milestones}")
+        if lr_at(self, self.epochs - 1) == 0.0:
+            raise ValueError(f"lr {self.lr} at lr_decay {self.lr_decay} per "
+                             f"milestone underflows to 0 by the last epoch")
 
 
 @dataclass
@@ -146,7 +153,6 @@ def train(config: TrainConfig) -> TrainResult:
     draws, the epochs it shares with an earlier run.  Raises ValueError
     if an epoch's train loss is not finite.  Deterministic given the
     config."""
-    config.validate()
     data = gen_blobs(config.classes, config.ipc_train, config.ipc_test,
                      config.dim, config.sigma_means, config.sigma_noise,
                      seed=config.seed)
@@ -162,7 +168,8 @@ def train(config: TrainConfig) -> TrainResult:
 
     forks, states = _SHARED.get()
     rates = _rates(config)
-    key = astuple(replace(config, lr_milestones=None, lr_decay=None))
+    key = tuple(getattr(config, f.name) for f in fields(config)
+                if f.name not in ("lr_milestones", "lr_decay"))
     resume = max((e for e in range(config.epochs + 1)
                   if (key, tuple(rates[:e])) in states), default=0)
     result = TrainResult(config)

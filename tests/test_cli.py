@@ -285,6 +285,22 @@ class TestTrain:
         assert err.startswith(f"error: {key} must be ")
         assert err.count("\n") == 1
 
+    def test_rate_underflow_exits_two_before_training(self, tmp_path,
+                                                      capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(srslab.training, "forward_loss",
+                            lambda *args: calls.append(args))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("lr = 1e-300\nlr_decay = 1e-30\nlr_milestones = 1,2\n",
+                       encoding="utf-8")
+        out_path = tmp_path / "x.csv"
+        assert main(["train", str(cfg), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lr 1e-300 at lr_decay 1e-30 ")
+        assert err.count("\n") == 1
+        assert calls == []
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_batch_size_error_names_config_keys(self, tmp_path, capsys,
                                                 command):
@@ -457,6 +473,28 @@ class TestCompare:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: grid cell ('epoch', (0, 2), 0.1)")
+        assert calls == []
+        assert not out_path.exists()
+
+    def test_rate_underflow_exits_before_any_training(self, tmp_path,
+                                                      capsys, monkeypatch):
+        calls, real_train = [], srslab.cli.train
+
+        def spy(config):
+            calls.append(config)
+            return real_train(config)
+
+        monkeypatch.setattr(srslab.cli, "train", spy)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TINY_TRAIN + "lr = 1e-300\nsamplers = epoch\n"
+                       "schedules = 3@0.1 | 1,2@1e-30\nseeds = 0\n",
+                       encoding="utf-8")
+        out_path = tmp_path / "grid.csv"
+        assert main(["compare", str(cfg), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: grid cell ('epoch', (1, 2), 1e-30) seed 0: "
+                       "lr 1e-300 at lr_decay 1e-30 per milestone "
+                       "underflows to 0 by the last epoch"]
         assert calls == []
         assert not out_path.exists()
 

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srslab.cli import main
-from srslab.config import parse_config, parse_grid_config, serialize_config
+from srslab.config import (GridConfig, parse_config, parse_grid_config,
+                           serialize_config)
 from srslab.training import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -258,3 +259,24 @@ class TestGridConfig:
         text = "seeds = 0,1\nsampler = epoch\n"
         config = parse_config(write(tmp_path, text))
         assert config.sampler == "epoch"
+
+
+class TestGridConfigConstruction:
+    def test_bad_run_raises_when_built(self):
+        message = ("grid cell ('epoch', (0, 2), 0.1) seed 0: lr_milestones "
+                   "must be positive epochs, got (0, 2)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GridConfig(base=TrainConfig(), samplers=("epoch",),
+                       schedules=(((0, 2), 0.1),), seeds=(0,))
+
+    def test_empty_key_raises_when_built(self):
+        with pytest.raises(ValueError,
+                           match="^seeds must hold at least one entry$"):
+            GridConfig(base=TrainConfig(), samplers=("epoch",),
+                       schedules=(((5,), 0.1),), seeds=())
+
+    def test_fields_are_frozen(self, tmp_path):
+        grid = parse_grid_config(write(tmp_path, "seeds = 0, 1\n"))
+        with pytest.raises(FrozenInstanceError):
+            grid.seeds = (0, 0)
+        assert [run.seed for run in grid.runs()] == [0, 1, 0, 1]

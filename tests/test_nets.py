@@ -264,6 +264,16 @@ class TestLayers:
             with pytest.raises(TypeError):
                 Mlp(*(np.ones((1, 1)) for _ in range(count)))
 
+    @pytest.mark.parametrize("params", [
+        (np.ones((2, 3)), np.zeros(3), np.ones((4, 5)), np.zeros(5)),
+        (np.ones((2, 3)), np.zeros(2), np.ones((3, 5)), np.zeros(5)),
+        (np.ones((2, 3)), np.zeros((1, 3)), np.ones((3, 5)), np.zeros(5)),
+        (np.ones(6), np.zeros(3), np.ones((3, 5)), np.zeros(5)),
+    ], ids=["fan_in_mismatch", "short_bias", "2d_bias", "flat_weight"])
+    def test_layers_must_chain(self, params):
+        with pytest.raises(ValueError, match="layers do not chain"):
+            Mlp(*params)
+
     @DEPTHS
     def test_backward_matches_finite_differences(self, widths):
         rng = make_stream(6)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srslab.nets import Mlp
+from srslab.nets import Mlp, init_mlp
 from srslab.optim import effective_epoch, init_optim, sgd_step
+from srslab.rng import make_stream
 from srslab.training import TrainConfig, lr_at
 
 
@@ -115,6 +116,20 @@ class TestSgdStep:
         before = model.flat.copy(), opt.velocities.copy()
         grads = {name: np.ones((1, 1)) for name in names}
         with pytest.raises(ValueError, match=re.escape(differ)):
+            sgd_step(model, grads, 0.1, opt)
+        assert np.array_equal(model.flat, before[0])
+        assert np.array_equal(opt.velocities, before[1])
+
+    @pytest.mark.parametrize("w1", [np.ones((4, 3)), np.ones(12)],
+                             ids=["transposed", "flat"])
+    def test_rejects_grads_shaped_unlike_the_model(self, w1):
+        model = init_mlp(3, 4, 3, make_stream(0))
+        opt = init_optim(model, momentum=0.9, weight_decay=0.5)
+        opt.velocities[:] = 0.25
+        before = model.flat.copy(), opt.velocities.copy()
+        grads = {name: np.ones_like(p) for name, p in model.param_items()}
+        grads["w1"] = w1
+        with pytest.raises(ValueError, match=re.escape("['w1']")):
             sgd_step(model, grads, 0.1, opt)
         assert np.array_equal(model.flat, before[0])
         assert np.array_equal(opt.velocities, before[1])

@@ -222,3 +222,24 @@ class TestTrainConfig:
         ):
             with pytest.raises(ValueError):
                 dataclasses.replace(TrainConfig(), **bad).validate()
+
+
+class TestCheckedAtConstruction:
+    def test_bad_value_raises_when_built(self):
+        with pytest.raises(ValueError, match="^hidden must be >= 1, got 0$"):
+            TrainConfig(hidden=0)
+
+    def test_fields_are_frozen(self):
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.lr = 0.5
+        assert config.lr == 0.1
+
+    def test_rate_that_underflows_before_the_last_epoch_is_rejected(self):
+        # 1e-300 * 1e-30 is below the smallest subnormal double
+        schedule = dict(lr=1e-300, lr_decay=1e-30, lr_milestones=(1, 2))
+        with pytest.raises(ValueError, match="^lr 1e-300 at lr_decay 1e-30 "
+                                             "per milestone underflows"):
+            TrainConfig(**schedule, epochs=2)
+        # the one epoch it steps through runs at 1e-300
+        assert lr_at(TrainConfig(**schedule, epochs=1), 0) == 1e-300
