@@ -94,8 +94,7 @@ def config_ratio(dataset_size: int, batch_size: int, k: int) -> Fraction:
     k: each of the B numerator factors exceeds its denominator counterpart
     once k >= 1.
     """
-    check_sizes(dataset_size, batch_size)
-    n_b = dataset_size // batch_size
+    n_b = CountParams(dataset_size, batch_size).batches_per_epoch
     if not 0 <= k <= n_b - 1:
         raise ValueError(
             f"k must be in [0, {n_b - 1}] for N={dataset_size}, "

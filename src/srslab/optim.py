@@ -34,8 +34,8 @@ def check_optim_params(momentum: float, weight_decay: float) -> None:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
 
 
-def init_optim(model: Mlp, momentum: float = 0.9,
-               weight_decay: float = 0.0005) -> OptimState:
+def init_optim(model: Mlp, momentum: float,
+               weight_decay: float) -> OptimState:
     check_optim_params(momentum, weight_decay)
     return OptimState(momentum, weight_decay, np.zeros_like(model.flat))
 
@@ -48,7 +48,10 @@ def sgd_step(model: Mlp, grads: Mlp | Mapping[str, np.ndarray],
     `grads` is a buffer from `backward` or a map shaped like the model."""
     if learning_rate <= 0.0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-    if not isinstance(grads, Mlp):
+    if isinstance(grads, Mlp):
+        if (got := [w.shape for w in grads.ws]) != [w.shape for w in model.ws]:
+            raise ValueError(f"gradient layers differ from the model: {got}")
+    else:
         if differ := sorted(set(grads) ^ set(model)):
             raise ValueError(f"gradient names differ from the model: {differ}")
         if differ := [name for name, p in model.param_items()

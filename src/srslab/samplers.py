@@ -109,19 +109,18 @@ class SrsPool:
     `slots` is an int64 array holding a multiset of dataset indices; its
     order carries no meaning.  Each sample starts with exactly one slot.
     A draw reads `batch_size` distinct slots and overwrites them in place
-    with the indices cursor, cursor+1, ... taken modulo dataset_size, so
-    the pool always holds `dataset_size` entries and the first index
-    follows the last one cyclically.
+    with the indices cursor, cursor+1, ... taken modulo the dataset size,
+    `slots.size`, so the pool always holds one entry per sample and the
+    first index follows the last one cyclically.
     """
 
-    dataset_size: int
     batch_size: int
     slots: np.ndarray
     draws_completed: int = 0
 
     @property
     def cursor(self) -> int:
-        return self.draws_completed * self.batch_size % self.dataset_size
+        return self.draws_completed * self.batch_size % self.slots.size
 
 
 def init_srs(dataset_size: int, batch_size: int) -> SrsPool:
@@ -131,8 +130,7 @@ def init_srs(dataset_size: int, batch_size: int) -> SrsPool:
     the lifetime of the pool.
     """
     check_sizes(dataset_size, batch_size)
-    return SrsPool(dataset_size, batch_size,
-                   np.arange(dataset_size, dtype=np.int64))
+    return SrsPool(batch_size, np.arange(dataset_size, dtype=np.int64))
 
 
 def _srs_rows(state: SrsPool, positions: np.ndarray) -> np.ndarray:
@@ -144,11 +142,11 @@ def _srs_rows(state: SrsPool, positions: np.ndarray) -> np.ndarray:
     in one pass: a stable argsort groups each slot's touches in row order,
     a touch reads the fill of the touch before it, or the slot's value
     before the chunk if it is the first, and each slot keeps its last fill.
-    Its positions lie below dataset_size < 2**13, so they fit in uint16,
+    Its positions lie below slots.size < 2**13, so they fit in uint16,
     which numpy argsorts stably by radix sort.  Sparser chunks keep the
     row loop, which is faster for them.
     """
-    n, b = state.dataset_size, state.batch_size
+    n, b = state.slots.size, state.batch_size
     out = rows = np.empty((len(positions), b), dtype=np.int64)
     step = BLOCK_ELEMENTS // b or 1
     while min(step, len(rows)) * b > DENSE_PER_SLOT * n:
@@ -175,7 +173,7 @@ def srs_draw_at(state: SrsPool, positions: Sequence[int]) -> np.ndarray:
     """Apply one draw that reads the slots at `positions`, then refill.
 
     `positions` index into the current slot array, so they must be
-    distinct and lie in [0, dataset_size); this forces a draw onto chosen
+    distinct and lie in [0, slots.size); this forces a draw onto chosen
     slots (replays, walkthrough tests) through the row loop of `_srs_rows`,
     as one row is never dense.  Returns the drawn indices in position order.
     """
@@ -184,9 +182,8 @@ def srs_draw_at(state: SrsPool, positions: Sequence[int]) -> np.ndarray:
         raise ValueError(f"expected {b} positions, got {len(positions)}")
     if len(set(positions)) != b:
         raise ValueError("slot positions must be distinct within one draw")
-    if not 0 <= min(positions) <= max(positions) < state.dataset_size:
-        raise ValueError(
-            f"slot positions must lie in [0, {state.dataset_size})")
+    if not 0 <= min(positions) <= max(positions) < state.slots.size:
+        raise ValueError(f"slot positions must lie in [0, {state.slots.size})")
     return _srs_rows(state, np.asarray([positions], dtype=np.int64))[0]
 
 
@@ -199,7 +196,7 @@ def draw_srs(state: SrsPool, rng: np.random.Generator, k: int) -> np.ndarray:
     appear within one batch.  Slot positions do not depend on what the
     pool holds, so all k rows of them are drawn at once.
     """
-    positions = _subset_rows(rng, state.dataset_size, state.batch_size, k)
+    positions = _subset_rows(rng, state.slots.size, state.batch_size, k)
     return _srs_rows(state, positions)
 
 
@@ -210,7 +207,7 @@ def draw_batch_srs(state: SrsPool, rng: np.random.Generator) -> np.ndarray:
 
 def pool_histogram(state: SrsPool) -> dict[int, int]:
     """Multiplicity of every dataset index in the pool, zeros included."""
-    hist = np.bincount(state.slots, minlength=state.dataset_size)
+    hist = np.bincount(state.slots, minlength=state.slots.size)
     return dict(enumerate(hist.tolist()))
 
 

@@ -25,9 +25,8 @@ SAMPLER_STREAM = 2
 @dataclass(frozen=True)
 class TrainConfig:
     """One training run, checked by `validate` whenever one is built.
-    Every field has a default; the optimizer block (batch 64, rate 0.1,
-    momentum 0.9, decay 0.0005, factor 0.1) is the standard recipe this
-    harness scales down."""
+    Every field has a default; the optimizer block's are the standard
+    recipe this harness scales down."""
 
     sampler: str = "srs"
     classes: int = 10
@@ -179,22 +178,21 @@ def train(config: TrainConfig) -> TrainResult:
         # The fork epoch's row reports this run's own next rate.
         result.rows = [replace(row, learning_rate=rates[e + 1])
                        for e, row in enumerate(rows)]
-        for _ in range(resume):  # redraws depend on the block size
-            draw(per_epoch)
-    iterations = resume * per_epoch
     # A diverging run overflows in numpy before the loss guard below
     # reports it in one error, so those warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(resume, config.epochs):
+        for epoch in range(config.epochs):
+            batches = draw(per_epoch)  # redraws depend on the block size
+            if epoch < resume:
+                continue
             rate = rates[epoch]
             loss_sum = 0.0
-            batches = draw(per_epoch)
             for x, y in zip(data.train_x[batches], data.train_y[batches]):
                 loss, cache = forward_loss(model, x, y)
                 backward(model, cache, grads)
                 sgd_step(model, grads, rate, opt)
                 loss_sum += loss
-            iterations += per_epoch
+            iterations = (epoch + 1) * per_epoch
             completed = effective_epoch(iterations, n, b)
             if not math.isfinite(loss_sum):
                 raise ValueError(

@@ -521,3 +521,22 @@ class TestProcess:
         done = run_python("-c", script, cwd=tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
+
+    def test_cli_import_adds_only_srslab_modules(self, tmp_path):
+        # numpy and the stdlib modules src/srslab imports at module level
+        # load first, so any other module the package pulls in shows up
+        script = (
+            "import sys\n"
+            "import numpy, __future__, argparse, contextlib, contextvars, csv,"
+            " dataclasses, decimal, fractions, io, math, pathlib, statistics,"
+            " typing\n"
+            "before = set(sys.modules)\n"
+            "import srslab.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        done = run_python("-c", script, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        added = done.stdout.split()
+        assert "srslab.cli" in added
+        assert [name for name in added
+                if name != "srslab" and not name.startswith("srslab.")] == []

@@ -134,15 +134,29 @@ class TestSgdStep:
         assert np.array_equal(model.flat, before[0])
         assert np.array_equal(opt.velocities, before[1])
 
+    def test_rejects_a_buffer_laid_out_unlike_the_model(self):
+        # (4, 3) then (3, 4) chains into 31 entries, the model's size, but
+        # every weight would land on the wrong entries
+        model = init_mlp(3, 4, 3, make_stream(0))
+        opt = init_optim(model, momentum=0.9, weight_decay=0.5)
+        opt.velocities[:] = 0.25
+        before = model.flat.copy(), opt.velocities.copy()
+        grads = Mlp(np.ones((4, 3)), np.ones(3), np.ones((3, 4)), np.ones(4))
+        assert grads.flat.size == model.flat.size
+        with pytest.raises(ValueError, match=re.escape("[(4, 3), (3, 4)]")):
+            sgd_step(model, grads, 0.1, opt)
+        assert np.array_equal(model.flat, before[0])
+        assert np.array_equal(opt.velocities, before[1])
+
     def test_rejects_nonpositive_rate(self):
         model = scalar_model(1.0)
-        opt = init_optim(model)
+        opt = init_optim(model, 0.9, 0.0005)
         with pytest.raises(ValueError):
             sgd_step(model, scalar_grads(1.0), 0.0, opt)
 
     def test_init_optim_validates_momentum(self):
         with pytest.raises(ValueError):
-            init_optim(scalar_model(0.0), momentum=1.0)
+            init_optim(scalar_model(0.0), momentum=1.0, weight_decay=0.0)
 
 
 class TestLrSchedule:
