@@ -65,12 +65,19 @@ def visit_stats(draw_counts: np.ndarray, iterations: int,
                 batch_size: int) -> list[VisitStats]:
     """One VisitStats per row of an (R, N) matrix of replica draw counts.
 
-    Every row must sum to T*B, or ValueError names the first that does
-    not.  A row's chi_square sums (count - E)**2 / E over its N samples,
-    E = T*B/N; a zero-draw run (T*B = 0) has nothing to test: 0.0.
+    Counts must be integers, used as given (so draw_counts are row views);
+    ValueError names the first row with a negative count or a sum other
+    than T*B.  A row's chi_square sums (count - E)**2 / E over its N
+    samples, E = T*B/N; a zero-draw run (T*B = 0) has nothing to test: 0.0.
     """
-    counts = np.asarray(draw_counts, dtype=np.int64)
-    total = iterations * batch_size
+    counts = np.asarray(draw_counts)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"draw counts must be integers, got {counts.dtype}")
+    total, lows = iterations * batch_size, counts.min(axis=1)
+    bad = np.flatnonzero(lows < 0)
+    if bad.size:
+        raise ValueError(f"draw counts of row {bad[0]} include "
+                         f"{lows[bad[0]]}, expected counts >= 0")
     bad = np.flatnonzero(counts.sum(axis=1) != total)
     if bad.size:
         raise ValueError(f"draw counts of row {bad[0]} sum to "
@@ -80,8 +87,7 @@ def visit_stats(draw_counts: np.ndarray, iterations: int,
                        float(((row - expected) ** 2 / expected).sum())
                        if total else 0.0)
             for row, lo, hi, untouched in zip(
-                counts, counts.min(axis=1), counts.max(axis=1),
-                (counts == 0).mean(axis=1))]
+                counts, lows, counts.max(axis=1), (counts == 0).mean(axis=1))]
 
 
 def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
@@ -99,10 +105,14 @@ def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     check_sizes(dataset_size, batch_size)
     block = max(1, BLOCK_ELEMENTS // batch_size)
-    counts = np.zeros((replicas, dataset_size), dtype=np.int64)
+    # No count exceeds T*B, so int32 holds every count below 2**31.
+    counts = np.zeros((replicas, dataset_size), dtype=np.int32
+                      if iterations * batch_size < 2**31 else np.int64)
     for r, row in enumerate(counts):
         draw = make_sampler(kind, dataset_size, batch_size, make_stream(seed, r))
         for done in range(0, iterations, block):
             batches = draw(min(block, iterations - done))
-            row += np.bincount(batches.ravel(), minlength=dataset_size)
+            # In the row's dtype: `row +=` would add in int64, then cast back.
+            np.add(row, np.bincount(batches.ravel(), minlength=dataset_size),
+                   out=row, dtype=row.dtype)
     return ReplicaReport(iterations, visit_stats(counts, iterations, batch_size))

@@ -173,18 +173,18 @@ def srs_draw_at(state: SrsPool, positions: Sequence[int]) -> np.ndarray:
     """Apply one draw that reads the slots at `positions`, then refill.
 
     `positions` index into the current slot array, so they must be
-    distinct and lie in [0, slots.size); this forces a draw onto chosen
+    distinct integers in [0, slots.size); this forces a draw onto chosen
     slots (replays, walkthrough tests) through the row loop of `_srs_rows`,
     as one row is never dense.  Returns the drawn indices in position order.
     """
-    b = state.batch_size
-    if len(positions) != b:
-        raise ValueError(f"expected {b} positions, got {len(positions)}")
-    if len(set(positions)) != b:
+    b, row = state.batch_size, np.asarray(positions)
+    if row.shape != (b,) or row.dtype.kind not in "iu":
+        raise ValueError(f"expected {b} integer positions, got {positions}")
+    if np.unique(row).size != b:
         raise ValueError("slot positions must be distinct within one draw")
-    if not 0 <= min(positions) <= max(positions) < state.slots.size:
+    if not 0 <= row.min() <= row.max() < state.slots.size:
         raise ValueError(f"slot positions must lie in [0, {state.slots.size})")
-    return _srs_rows(state, np.asarray([positions], dtype=np.int64))[0]
+    return _srs_rows(state, row[None].astype(np.int64))[0]
 
 
 def draw_srs(state: SrsPool, rng: np.random.Generator, k: int) -> np.ndarray:

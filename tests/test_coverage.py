@@ -3,9 +3,10 @@ import pytest
 
 import srslab.coverage
 from srslab.cli import coverage_table
-from srslab.csvio import format_cell
-from srslab.coverage import (STATS, expected_untouched_replacement,
+from srslab.coverage import (STATS, ReplicaReport,
+                             expected_untouched_replacement,
                              simulate_coverage, visit_stats)
+from srslab.csvio import format_cell, to_string
 
 
 class TestExpectedUntouched:
@@ -95,6 +96,27 @@ class TestSimulateCoverage:
         report = simulate_coverage("srs", 30, 4, 9, seed=2, replicas=5)
         assert shapes == [(5, 30)]
         assert len(report.per_replica) == 5
+
+    @pytest.mark.parametrize("kind", ["srs", "epoch", "replacement"])
+    def test_counts_are_int32_below_the_bound(self, kind):
+        report = simulate_coverage(kind, 1000, 32, 31, seed=0, replicas=3)
+        assert [s.draw_counts.dtype for s in report.per_replica] == [
+            np.int32] * 3
+
+    @pytest.mark.parametrize("total, dtype", [(2**31 - 1, np.int32),
+                                              (2**31, np.int64)])
+    def test_counts_are_int64_once_t_times_b_passes_int32(
+            self, monkeypatch, total, dtype):
+        # A sampler that draws nothing, so the allocation is checked
+        # without drawing 2**31 samples.
+        dtypes = []
+        nothing = np.empty((0, 1), dtype=np.int64)
+        monkeypatch.setattr(srslab.coverage, "make_sampler",
+                            lambda kind, n, b, rng: lambda k: nothing)
+        monkeypatch.setattr(srslab.coverage, "visit_stats",
+                            lambda counts, t, b: dtypes.append(counts.dtype))
+        simulate_coverage("epoch", 1, 1, total, seed=0)
+        assert dtypes == [dtype]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -200,3 +222,43 @@ class TestVisitStats:
                             batch_size=3)
         assert [(s.chi_square, s.untouched_fraction) for s in stats] == [
             (0.0, 1.0)] * 4
+
+    @pytest.mark.parametrize("counts", [[[1.5, 1.5]],
+                                        np.array([[2.9, -0.9]])])
+    def test_rejects_non_integer_counts(self, counts):
+        with pytest.raises(ValueError, match=r"^draw counts must be "
+                                             r"integers, got float64$"):
+            visit_stats(counts, iterations=1, batch_size=2)
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ValueError,
+                           match=r"^draw counts of row 0 include -1, "
+                                 r"expected counts >= 0$"):
+            visit_stats(np.array([[3, -1]]), iterations=1, batch_size=2)
+        with pytest.raises(ValueError, match=r"^draw counts of row 1 "):
+            visit_stats(np.array([[1, 1], [3, -1], [-2, 4]]), iterations=1,
+                        batch_size=2)
+
+    def test_int32_rows_are_views_into_the_matrix(self):
+        counts = np.array([[3, 0, 1, 0], [1, 1, 1, 1]], dtype=np.int32)
+        for stats in visit_stats(counts, iterations=2, batch_size=2):
+            assert stats.draw_counts.dtype == np.int32
+            assert np.shares_memory(stats.draw_counts, counts)
+
+    @pytest.mark.parametrize("replicas, n, b, t", [(200, 1000, 32, 31),
+                                                   (3, 7, 7, 5),
+                                                   (2, 10, 3, 0)])
+    def test_int32_and_int64_counts_give_the_same_report(self, replicas, n,
+                                                         b, t):
+        rng = np.random.default_rng(n)
+        counts = np.stack([np.bincount(rng.integers(0, n, t * b),
+                                       minlength=n)
+                           for _ in range(replicas)])
+        wide = visit_stats(counts.astype(np.int64), t, b)
+        narrow = visit_stats(counts.astype(np.int32), t, b)
+        for w, s in zip(wide, narrow, strict=True):
+            assert np.array_equal(w.draw_counts, s.draw_counts)
+            assert repr(tuple(getattr(w, stat) for stat in STATS)) == repr(
+                tuple(getattr(s, stat) for stat in STATS))
+        assert to_string(coverage_table(ReplicaReport(t, wide))) == (
+            to_string(coverage_table(ReplicaReport(t, narrow))))

@@ -104,6 +104,14 @@ class TestSrsDraw:
             assert state.slots.tolist() == [0, 1, 2, 3, 4]
             assert state.cursor == 0
 
+    def test_forced_positions_must_be_integers(self):
+        # 1.2 and 1.7 are distinct, but both would truncate to slot 1
+        state = init_srs(5, 2)
+        with pytest.raises(ValueError, match="integer positions"):
+            srs_draw_at(state, [1.2, 1.7])
+        assert state.slots.tolist() == [0, 1, 2, 3, 4]
+        assert state.draws_completed == 0
+
     def test_forced_positions_must_match_batch_size(self):
         state = init_srs(4, 2)
         with pytest.raises(ValueError):
