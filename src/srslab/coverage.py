@@ -65,12 +65,16 @@ def visit_stats(draw_counts: np.ndarray, iterations: int,
                 batch_size: int) -> list[VisitStats]:
     """One VisitStats per row of an (R, N) matrix of replica draw counts.
 
-    Counts must be integers, used as given (so draw_counts are row views);
-    ValueError names the first row with a negative count or a sum other
-    than T*B.  A row's chi_square sums (count - E)**2 / E over its N
-    samples, E = T*B/N; a zero-draw run (T*B = 0) has nothing to test: 0.0.
+    Counts must be an integer matrix with N >= 1, used as given (so
+    draw_counts are row views); ValueError names a wrong shape or dtype, or
+    the first row with a negative count or a sum other than T*B.  A row's
+    chi_square sums (count - E)**2 / E over its N samples, E = T*B/N; a
+    zero-draw run (T*B = 0) has nothing to test: 0.0.
     """
     counts = np.asarray(draw_counts)
+    if counts.ndim != 2 or counts.shape[1] < 1:
+        raise ValueError(f"draw counts must be an (R, N) matrix with N >= 1, "
+                         f"got shape {counts.shape}")
     if counts.dtype.kind not in "iu":
         raise ValueError(f"draw counts must be integers, got {counts.dtype}")
     total, lows = iterations * batch_size, counts.min(axis=1)
@@ -82,12 +86,13 @@ def visit_stats(draw_counts: np.ndarray, iterations: int,
     if bad.size:
         raise ValueError(f"draw counts of row {bad[0]} sum to "
                          f"{counts[bad[0]].sum()}, expected {total}")
-    expected = total / counts.shape[1]  # every row's mean, by the sum check
-    return [VisitStats(row, int(lo), int(hi), expected, float(untouched),
+    n = counts.shape[1]
+    expected = total / n  # every row's mean, by the sum check
+    return [VisitStats(row, int(lo), int(hi), expected,
+                       (n - int(np.count_nonzero(row))) / n,
                        float(((row - expected) ** 2 / expected).sum())
                        if total else 0.0)
-            for row, lo, hi, untouched in zip(
-                counts, lows, counts.max(axis=1), (counts == 0).mean(axis=1))]
+            for row, lo, hi in zip(counts, lows, counts.max(axis=1))]
 
 
 def simulate_coverage(kind: str, dataset_size: int, batch_size: int,

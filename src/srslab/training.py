@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ SAMPLER_STREAM = 2
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training run, checked by `validate` whenever one is built.
+    """One training run, which checks itself when it is built.
     Every field has a default; the optimizer block's are the standard
     recipe this harness scales down."""
 
@@ -46,13 +46,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    @property
-    def train_size(self) -> int:
-        return self.classes * self.ipc_train
-
-    def validate(self) -> None:
         check_kind(self.sampler)
         for f in fields(self):
             value = getattr(self, f.name)
@@ -84,6 +77,10 @@ class TrainConfig:
             raise ValueError(f"lr {self.lr} at lr_decay {self.lr_decay} per "
                              f"milestone underflows to 0 by the last epoch")
 
+    @property
+    def train_size(self) -> int:
+        return self.classes * self.ipc_train
+
 
 @dataclass
 class MetricsRow:
@@ -97,8 +94,8 @@ class MetricsRow:
 @dataclass
 class TrainResult:
     config: TrainConfig
-    rows: list[MetricsRow] = field(default_factory=list)
-    final_train_accuracy: float = 0.0
+    rows: list[MetricsRow]
+    final_train_accuracy: float
 
     @property
     def final_test_error(self) -> float:
@@ -109,8 +106,8 @@ class TrainResult:
         return min(r.test_error for r in self.rows)
 
 
-# Inside `shared_prefixes`: the rates two grid runs share before they
-# part, and the states saved there by (run less its schedule, rates).
+# Inside `shared_prefixes`: the epochs where two grid runs' rates part,
+# and the states saved there by (run less its schedule, rates so far).
 _SHARED: ContextVar = ContextVar("shared", default=((), {}))
 
 
@@ -120,8 +117,7 @@ def shared_prefixes(runs: list[TrainConfig]):
     that matches it but in its schedule, at the epoch where their rates
     part.  The states go with the block."""
     rates = [_rates(run) for run in runs]
-    forks = {tuple(a[:next((e for e, (x, y) in enumerate(zip(a, b))
-                            if x != y), 0)])
+    forks = {next((e for e, (x, y) in enumerate(zip(a, b)) if x != y), 0)
              for a in rates for b in rates}
     token = _SHARED.set((forks, {}))
     try:
@@ -169,15 +165,15 @@ def train(config: TrainConfig) -> TrainResult:
     rates = _rates(config)
     key = tuple(getattr(config, f.name) for f in fields(config)
                 if f.name not in ("lr_milestones", "lr_decay"))
-    resume = max((e for e in range(config.epochs + 1)
-                  if (key, tuple(rates[:e])) in states), default=0)
-    result = TrainResult(config)
+    resume = max((e for e in forks if (key, tuple(rates[:e])) in states),
+                 default=0)
+    rows = []
     if resume:
         model.flat[:], opt.velocities[:], rows = states[
             key, tuple(rates[:resume])]
         # The fork epoch's row reports this run's own next rate.
-        result.rows = [replace(row, learning_rate=rates[e + 1])
-                       for e, row in enumerate(rows)]
+        rows = [replace(row, learning_rate=rates[e + 1])
+                for e, row in enumerate(rows)]
     # A diverging run overflows in numpy before the loss guard below
     # reports it in one error, so those warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -200,16 +196,15 @@ def train(config: TrainConfig) -> TrainResult:
                     f"effective epoch {completed} (iterations up to "
                     f"{iterations}); lower lr"
                 )
-            result.rows.append(MetricsRow(
+            rows.append(MetricsRow(
                 effective_epoch=float(completed),
                 learning_rate=rates[epoch + 1],
                 train_loss=loss_sum / per_epoch,
                 test_error=error_rate(model, data.test_x, data.test_y),
                 wall_iterations=iterations,
             ))
-            if tuple(rates[:epoch + 1]) in forks:
+            if epoch + 1 in forks:
                 states[key, tuple(rates[:epoch + 1])] = (
-                    model.flat.copy(), opt.velocities.copy(), result.rows[:])
-    result.final_train_accuracy = 1.0 - error_rate(model, data.train_x,
-                                                   data.train_y)
-    return result
+                    model.flat.copy(), opt.velocities.copy(), rows[:])
+    return TrainResult(config, rows, 1.0 - error_rate(model, data.train_x,
+                                                      data.train_y))

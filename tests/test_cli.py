@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
 import os
+import pkgutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -504,6 +506,13 @@ class TestProcess:
         done = run_python("-m", "srslab.cli", "count", "5", "2", cwd=tmp_path)
         assert done.returncode == 0, done.stderr
         assert "configs_one_epoch 13" in done.stdout
+
+    def test_console_script_resolves_to_cli_main(self):
+        # The installed `srslab` command; the tests run `-m srslab.cli`.
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert pkgutil.resolve_name(scripts["srslab"]) is srslab.cli.main
 
     def test_medians_do_not_import_numpy_ma(self, tmp_path):
         # np.median imports numpy.ma on its first call; the cross-replica

@@ -169,7 +169,6 @@ class TestSerializeConfig:
             batch_size=4, lr=lr, momentum=momentum, lr_decay=decay,
             lr_milestones=tuple(sorted(milestones)), seed=seed,
         )
-        original.validate()
         path = tmp_path_factory.mktemp("cfg") / "roundtrip.cfg"
         path.write_text(serialize_config(original), encoding="utf-8")
         assert parse_config(path) == original

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,28 @@ class TestVisitStats:
         with pytest.raises(ValueError, match=r"^draw counts must be "
                                              r"integers, got float64$"):
             visit_stats(counts, iterations=1, batch_size=2)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 0)])
+    def test_rejects_counts_that_are_not_an_r_by_n_matrix(self, shape):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"draw counts must be an (R, N) matrix with N >= 1, "
+                f"got shape {shape}") + "$"):
+            visit_stats(np.zeros(shape, dtype=np.int64), iterations=0,
+                        batch_size=1)
+
+    def test_untouched_fractions_take_no_r_by_n_temporary(self):
+        # A bool (counts == 0) matrix alone would take R*N bytes.
+        replicas, n = 64, 50_000
+        counts = np.zeros((replicas, n), dtype=np.int32)
+        counts[:, ::2] = 2
+        tracemalloc.start()
+        try:
+            stats = visit_stats(counts, iterations=1, batch_size=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [s.untouched_fraction for s in stats] == [0.5] * replicas
+        assert peak < replicas * n / 2
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError,

@@ -20,9 +20,7 @@ def scalar_model(value: float) -> Mlp:
 def schedule_run(lr: float, milestones: tuple[int, ...],
                  decay: float) -> TrainConfig:
     """A validated run that carries this schedule."""
-    config = TrainConfig(lr=lr, lr_milestones=milestones, lr_decay=decay)
-    config.validate()
-    return config
+    return TrainConfig(lr=lr, lr_milestones=milestones, lr_decay=decay)
 
 
 def scalar_grads(value: float) -> dict:

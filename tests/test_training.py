@@ -75,7 +75,7 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(dataclasses.replace(SEPARABLE, sampler="bogus"))
         with pytest.raises(ValueError):
-            dataclasses.replace(SEPARABLE, momentum=1.5).validate()
+            dataclasses.replace(SEPARABLE, momentum=1.5)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=4, max_value=30),
@@ -201,7 +201,6 @@ class TestTrainConfig:
         assert config.weight_decay == 0.0005
         assert config.lr_decay == 0.1
         assert config.lr_milestones == (120, 150, 175)
-        config.validate()
 
     def test_validate_catches_bad_ranges(self):
         for bad in (
@@ -221,7 +220,7 @@ class TestTrainConfig:
             {"weight_decay": -1e-3},
         ):
             with pytest.raises(ValueError):
-                dataclasses.replace(TrainConfig(), **bad).validate()
+                dataclasses.replace(TrainConfig(), **bad)
 
 
 class TestCheckedAtConstruction:
