@@ -105,12 +105,14 @@ def forward_loss(model: Mlp, x: np.ndarray,
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"batch features must be (n, {dim}), got {x.shape}")
     acts, probs = _logits(model, x)
-    probs -= probs.max(axis=1, keepdims=True)
+    # ufunc reductions called directly: the loops of ndarray.max and .sum
+    # without their dispatch
+    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
     picked = probs[np.arange(x.shape[0]), y]
     np.exp(probs, out=probs)
-    norm = probs.sum(axis=1)
+    norm = np.add.reduce(probs, axis=1)
     probs /= norm[:, None]
-    loss = float((np.log(norm) - picked).sum()) / x.shape[0]
+    loss = float(np.add.reduce(np.log(norm) - picked)) / x.shape[0]
     return loss, (y, acts, probs)
 
 
@@ -129,7 +131,7 @@ def backward(model: Mlp, cache: tuple, grads: Mlp | None = None) -> Mlp:
     dz /= n
     for k in reversed(range(len(acts))):
         np.matmul(acts[k].T, dz, out=grads.ws[k])
-        np.sum(dz, axis=0, out=grads.bs[k])
+        np.add.reduce(dz, axis=0, out=grads.bs[k])
         if k:
             dz = dz @ model.ws[k].T
             dz *= acts[k] > 0.0

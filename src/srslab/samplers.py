@@ -1,12 +1,15 @@
-"""Mini-batch samplers: sequenced replacement, epoch shuffle, batched replacement.
+"""Mini-batch samplers: sequenced replacement, epoch shuffle, batched
+replacement and shuffle-once.
 
-All three are deterministic state machines driven by a numpy Generator.
+All four are deterministic state machines driven by a numpy Generator.
 `make_sampler` returns `draw(k)`, which gives the next k batches as a
 (k, batch_size) int64 array of dataset indices in [0, dataset_size).
 Under sequenced replacement a batch may repeat an index once the pool
-holds duplicate copies; the other two regimes always return distinct
+holds duplicate copies; the other three always return distinct
 indices within a batch.  Epoch shuffle deals the first (N // B) * B
-entries of each fresh permutation, so the partial batch is dropped.
+entries of each fresh permutation, so the partial batch is dropped;
+shuffle-once deals that prefix of one permutation every epoch, so the
+same N mod B samples are never drawn.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-SAMPLER_KINDS = ("srs", "epoch", "replacement")
+SAMPLER_KINDS = ("srs", "epoch", "replacement", "once")
 
 # Subset rows are made in chunks of about this many int64 entries (256 KiB),
 # so no temporary grows with k * N; coverage sizes its draw blocks by it too.
@@ -224,8 +227,9 @@ def make_sampler(kind: str, dataset_size: int, batch_size: int,
     """Uniform front door: `draw(k)` yields the next k batches as a
     (k, batch_size) int64 array, drawn from `rng`, which the sampler owns.
     `epoch` deals (N // B) * B-entry prefixes of uniform permutations, each
-    drawn only when a batch needs it; `replacement` draws every batch
-    afresh with `_subset_rows`."""
+    drawn only when a batch needs it; `once` deals the prefix of the one
+    permutation it draws when built, every epoch; `replacement` draws
+    every batch afresh with `_subset_rows`."""
     check_kind(kind)
     check_sizes(dataset_size, batch_size)
     n, b = dataset_size, batch_size
@@ -235,14 +239,16 @@ def make_sampler(kind: str, dataset_size: int, batch_size: int,
     if kind == "replacement":
         return lambda k: _subset_rows(rng, n, b, k)
     usable = n // b * b
+    once = rng.permutation(n)[:usable] if kind == "once" else None
     rest = np.empty(0, dtype=np.int64)  # undealt entries, in order
 
     def draw(k: int) -> np.ndarray:
         nonlocal rest
         short = -((rest.size - k * b) // usable)  # permutations to deal
         if short > 0:
-            rest = np.concatenate([rest] + [rng.permutation(n)[:usable]
-                                            for _ in range(short)])
+            rest = np.concatenate([rest] + [
+                rng.permutation(n)[:usable] if once is None else once
+                for _ in range(short)])
         block, rest = rest[:k * b], rest[k * b:]
         return block.reshape(k, b)
     return draw

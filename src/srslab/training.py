@@ -106,20 +106,29 @@ class TrainResult:
         return min(r.test_error for r in self.rows)
 
 
-# Inside `shared_prefixes`: the epochs where two grid runs' rates part,
-# and the states saved there by (run less its schedule, rates so far).
-_SHARED: ContextVar = ContextVar("shared", default=((), {}))
+# Inside `shared_prefixes`: each run's (source run, parting epoch), and
+# the states later runs resume from by (run, epoch), None until saved.
+_SHARED: ContextVar = ContextVar("shared", default=({}, {}))
 
 
 @contextmanager
 def shared_prefixes(runs: list[TrainConfig]):
-    """Within the block, `train` resumes from the state of an earlier run
-    that matches it but in its schedule, at the epoch where their rates
-    part.  The states go with the block."""
-    rates = [_rates(run) for run in runs]
-    forks = {next((e for e, (x, y) in enumerate(zip(a, b)) if x != y), 0)
-             for a in rates for b in rates}
-    token = _SHARED.set((forks, {}))
+    """Within the block, `train` resumes each run, taken in order, from the
+    earliest earlier run that matches it but in its schedule and shares the
+    most epochs of rates with it, where their rates part if they do, saving
+    only the states later runs resume from, and only until the block ends."""
+    sources, alike = {}, {}
+    for run in runs:
+        # the run at a constant rate stands for it less its schedule
+        earlier = alike.setdefault(replace(
+            run, lr_milestones=(), lr_decay=TrainConfig.lr_decay), [])
+        for other in earlier:
+            part = next((e for e in range(run.epochs + 1)
+                         if lr_at(run, e) != lr_at(other, e)), 0)
+            if part > sources.get(run, (None, 0))[1]:
+                sources[run] = (other, part)
+        earlier.append(run)
+    token = _SHARED.set((sources, dict.fromkeys(sources.values())))
     try:
         yield
     finally:
@@ -133,11 +142,6 @@ def lr_at(config: TrainConfig, epoch) -> float:
         raise ValueError(f"effective_epoch must be >= 0, got {epoch}")
     passed = sum(1 for m in config.lr_milestones if m <= epoch)
     return config.lr * config.lr_decay ** passed
-
-
-def _rates(config: TrainConfig) -> list[float]:
-    """Epoch e steps at rates[e]; its row reports rates[e + 1]."""
-    return [lr_at(config, e) for e in range(config.epochs + 1)]
 
 
 def train(config: TrainConfig) -> TrainResult:
@@ -161,17 +165,13 @@ def train(config: TrainConfig) -> TrainResult:
     draw = make_sampler(config.sampler, n, b,
                         make_stream(config.seed, SAMPLER_STREAM))
 
-    forks, states = _SHARED.get()
-    rates = _rates(config)
-    key = tuple(getattr(config, f.name) for f in fields(config)
-                if f.name not in ("lr_milestones", "lr_decay"))
-    resume = max((e for e in forks if (key, tuple(rates[:e])) in states),
-                 default=0)
+    sources, states = _SHARED.get()
+    rates = [lr_at(config, e) for e in range(config.epochs + 1)]
+    source, resume = sources.get(config, (None, 0))
     rows = []
     if resume:
-        model.flat[:], opt.velocities[:], rows = states[
-            key, tuple(rates[:resume])]
-        # The fork epoch's row reports this run's own next rate.
+        model.flat[:], opt.velocities[:], rows = states[source, resume]
+        # The parting epoch's row reports this run's own next rate.
         rows = [replace(row, learning_rate=rates[e + 1])
                 for e, row in enumerate(rows)]
     # A diverging run overflows in numpy before the loss guard below
@@ -203,8 +203,8 @@ def train(config: TrainConfig) -> TrainResult:
                 test_error=error_rate(model, data.test_x, data.test_y),
                 wall_iterations=iterations,
             ))
-            if epoch + 1 in forks:
-                states[key, tuple(rates[:epoch + 1])] = (
+            if (config, epoch + 1) in states:
+                states[config, epoch + 1] = (
                     model.flat.copy(), opt.velocities.copy(), rows[:])
     return TrainResult(config, rows, 1.0 - error_rate(model, data.train_x,
                                                       data.train_y))

@@ -1,4 +1,5 @@
 import contextlib
+import contextvars
 import hashlib
 import os
 import pkgutil
@@ -456,6 +457,54 @@ class TestCompare:
         calls.clear()
         train(parse_grid_config(cfg).runs()[1])
         assert len(calls) == 4 * per_epoch
+
+    def test_only_states_that_are_read_are_saved(self, tmp_path, capsys,
+                                                 monkeypatch):
+        events = []
+
+        class Store(dict):
+            def __setitem__(self, key, value):
+                events.append(("save", key))
+                super().__setitem__(key, value)
+
+            def __getitem__(self, key):
+                events.append(("read", key))
+                return super().__getitem__(key)
+
+        real = srslab.training._SHARED
+
+        class Shared:
+            """The prefix ContextVar, wrapping each store it is given."""
+
+            def set(self, value):
+                plan, states = value
+                return real.set((plan, Store(states)))
+
+            def get(self):
+                return real.get()
+
+            def reset(self, token):
+                real.reset(token)
+
+        monkeypatch.setattr(srslab.training, "_SHARED", Shared())
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(PREFIX_GRID, encoding="utf-8")
+        assert main(["compare", str(cfg), "--out",
+                     str(tmp_path / "g.csv")]) == 0
+        saved = [key for event, key in events if event == "save"]
+        # Per (sampler, seed): 4@0.1 saves at 2 for 2,4@0.1 and at 4 for
+        # 5@0.1; 2,4@0.1 saves at 3 for 2,3@0.1
+        assert len(set(saved)) == len(saved) == 3 * 2 * 3
+        assert sorted(e for _, e in saved) == [2] * 6 + [3] * 6 + [4] * 6
+        for key in saved:  # each is read, and only after it is saved
+            assert ("read", key) in events[events.index(("save", key)):]
+        assert {key for event, key in events if event == "read"} == set(saved)
+
+        events.clear()
+        outside = contextvars.ContextVar("spy", default=({}, Store()))
+        monkeypatch.setattr(srslab.training, "_SHARED", outside)
+        train(parse_grid_config(cfg).runs()[0])
+        assert events == []
 
     def test_bad_later_cell_exits_before_any_training(self, tmp_path,
                                                       capsys, monkeypatch):

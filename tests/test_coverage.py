@@ -46,6 +46,18 @@ class TestSimulateCoverage:
             assert stats.untouched_fraction == 0.0
             assert stats.min_count == stats.max_count == 1
 
+    @pytest.mark.parametrize("n, b", [(10, 3), (23, 5), (100, 10),
+                                      (1000, 32)])
+    def test_shuffle_once_never_draws_the_remainder(self, n, b):
+        # For every T of one epoch or more, exactly the N mod B samples
+        # past the dealt prefix stay untouched, in every replica.
+        per_epoch = n // b
+        for t in (per_epoch, per_epoch + 1, 3 * per_epoch + 2):
+            report = simulate_coverage("once", n, b, t, seed=5, replicas=4)
+            for stats in report.per_replica:
+                assert np.count_nonzero(stats.draw_counts == 0) == n % b
+                assert stats.untouched_fraction == (n % b) / n
+
     def test_count_conservation(self):
         for kind in ("srs", "epoch", "replacement"):
             report = simulate_coverage(kind, 50, 8, 17, seed=3, replicas=4)

@@ -234,6 +234,28 @@ class TestEpochShuffle:
         assert_epoch_matches_replay(n, b, 19, blocks)
 
 
+class TestShuffleOnce:
+    @pytest.mark.parametrize("n, b", [(1, 1), (5, 5), (7, 3), (23, 5),
+                                      (21, 4), (1000, 32)])
+    def test_every_epoch_is_the_same_partition_of_the_prefix(self, n, b):
+        per_epoch = n // b
+        draw = make_sampler("once", n, b, make_stream(13))
+        prefix = make_stream(13).permutation(n)[:per_epoch * b]
+        first = draw(per_epoch)
+        assert first.ravel().tolist() == prefix.tolist()
+        for k in (per_epoch, 2 * per_epoch):  # whole epochs, one block
+            assert draw(k).tolist() == np.tile(first, (k // per_epoch,
+                                                       1)).tolist()
+
+    def test_blocks_deal_the_batches_cyclically(self):
+        n, b = 23, 5  # four batches an epoch; the blocks cross epochs
+        blocks = make_sampler("once", n, b, make_stream(9))
+        single = make_sampler("once", n, b, make_stream(9))
+        epoch = [single(1)[0].tolist() for _ in range(4)]
+        drawn = np.concatenate([blocks(k) for k in (3, 0, 11, 1, 7)])
+        assert drawn.tolist() == [epoch[i % 4] for i in range(22)]
+
+
 class TestBatchedReplacement:
     def test_full_batch_is_a_permutation(self):
         draw = make_sampler("replacement", 5, 5, make_stream(2))
