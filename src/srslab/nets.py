@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .samplers import BLOCK_ELEMENTS
+
 
 class Mlp:
     """Layer k's weight `ws[k]` (fan-in, fan-out) and bias `bs[k]` as
@@ -139,7 +141,13 @@ def backward(model: Mlp, cache: tuple, grads: Mlp | None = None) -> Mlp:
 
 
 def error_rate(model: Mlp, x: np.ndarray, y: np.ndarray) -> float:
-    """Misclassification rate in [0, 1] of the argmax class labels."""
+    """Misclassification rate in [0, 1] of the argmax class labels,
+    counted over blocks of rows, each about BLOCK_ELEMENTS entries of the
+    widest layer output, so its memory does not grow with the split."""
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    _, z = _logits(model, np.asarray(x, dtype=np.float64))
-    return float(np.count_nonzero(z.argmax(axis=1) != y) / y.size)
+    step = max(1, BLOCK_ELEMENTS // max(w.shape[1] for w in model.ws))
+    wrong = sum(np.count_nonzero(
+        _logits(model, x[i:i + step])[1].argmax(axis=1) != y[i:i + step])
+        for i in range(0, len(x), step))
+    return float(wrong / y.size)

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# Stream ids carved out of one config seed: the blob points, the initial
+# weights, the sampler's draws and the train label noise.
+DATA_STREAM, MODEL_STREAM, SAMPLER_STREAM, LABEL_STREAM = range(4)
+
 
 def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Return a PCG64 generator fully determined by (seed, stream_id).

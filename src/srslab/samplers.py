@@ -23,7 +23,8 @@ import numpy as np
 SAMPLER_KINDS = ("srs", "epoch", "replacement", "once")
 
 # Subset rows are made in chunks of about this many int64 entries (256 KiB),
-# so no temporary grows with k * N; coverage sizes its draw blocks by it too.
+# so no temporary grows with k * N; coverage sizes its draw blocks and
+# `nets.error_rate` its row blocks by it too.
 BLOCK_ELEMENTS = 1 << 15
 
 # `_srs_rows` takes its one-pass refill once a chunk writes more than this

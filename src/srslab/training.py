@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
@@ -13,13 +14,8 @@ from .data import check_blob_params, gen_blobs
 from .nets import (backward, check_mlp_sizes, error_rate, forward_loss,
                    init_mlp)
 from .optim import check_optim_params, effective_epoch, init_optim, sgd_step
-from .rng import make_stream
+from .rng import MODEL_STREAM, SAMPLER_STREAM, make_stream
 from .samplers import check_kind, check_sizes, make_sampler
-
-# Stream ids carved out of the one config seed; the dataset stream is the
-# default stream 0 inside gen_blobs.
-MODEL_STREAM = 1
-SAMPLER_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -35,6 +31,7 @@ class TrainConfig:
     dim: int = 16
     sigma_means: float = 3.0
     sigma_noise: float = 1.0
+    label_noise: float = 0.0
     hidden: int = 64
     batch_size: int = 64
     lr: float = 0.1
@@ -52,7 +49,8 @@ class TrainConfig:
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         check_blob_params(self.classes, self.ipc_train, self.ipc_test,
-                          self.dim, self.sigma_means, self.sigma_noise)
+                          self.dim, self.sigma_means, self.sigma_noise,
+                          self.label_noise)
         check_mlp_sizes(self.dim, self.hidden, self.classes)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
@@ -106,9 +104,10 @@ class TrainResult:
         return min(r.test_error for r in self.rows)
 
 
-# Inside `shared_prefixes`: each run's (source run, parting epoch), and
-# the states later runs resume from by (run, epoch), None until saved.
-_SHARED: ContextVar = ContextVar("shared", default=({}, {}))
+# Inside `shared_prefixes`: each run's (source run, parting epoch), the
+# number of runs yet to resume from each such (run, epoch), and the
+# states saved there, each dropped as its last reader loads it.
+_SHARED: ContextVar = ContextVar("shared", default=({}, Counter(), {}))
 
 
 @contextmanager
@@ -116,7 +115,8 @@ def shared_prefixes(runs: list[TrainConfig]):
     """Within the block, `train` resumes each run, taken in order, from the
     earliest earlier run that matches it but in its schedule and shares the
     most epochs of rates with it, where their rates part if they do, saving
-    only the states later runs resume from, and only until the block ends."""
+    only the states later runs resume from, each until its last reader
+    has loaded it."""
     sources, alike = {}, {}
     for run in runs:
         # the run at a constant rate stands for it less its schedule
@@ -128,7 +128,7 @@ def shared_prefixes(runs: list[TrainConfig]):
             if part > sources.get(run, (None, 0))[1]:
                 sources[run] = (other, part)
         earlier.append(run)
-    token = _SHARED.set((sources, dict.fromkeys(sources.values())))
+    token = _SHARED.set((sources, Counter(sources.values()), {}))
     try:
         yield
     finally:
@@ -145,8 +145,8 @@ def lr_at(config: TrainConfig, epoch) -> float:
 
 
 def train(config: TrainConfig) -> TrainResult:
-    """Run the configured loop: per effective epoch, draw and gather its
-    batches and take its rate; per batch, forward/backward into one
+    """Run the configured loop: per effective epoch, draw its batches and
+    take its rate; per batch, gather its rows, forward/backward into one
     gradient buffer and an SGD step; one MetricsRow per completed
     effective epoch.  Inside `shared_prefixes` it skips, but for their
     draws, the epochs it shares with an earlier run.  Raises ValueError
@@ -154,7 +154,7 @@ def train(config: TrainConfig) -> TrainResult:
     config."""
     data = gen_blobs(config.classes, config.ipc_train, config.ipc_test,
                      config.dim, config.sigma_means, config.sigma_noise,
-                     seed=config.seed)
+                     seed=config.seed, label_noise=config.label_noise)
     n = config.train_size
     b = config.batch_size
     per_epoch = n // b
@@ -165,12 +165,15 @@ def train(config: TrainConfig) -> TrainResult:
     draw = make_sampler(config.sampler, n, b,
                         make_stream(config.seed, SAMPLER_STREAM))
 
-    sources, states = _SHARED.get()
+    sources, readers, states = _SHARED.get()
     rates = [lr_at(config, e) for e in range(config.epochs + 1)]
     source, resume = sources.get(config, (None, 0))
     rows = []
     if resume:
-        model.flat[:], opt.velocities[:], rows = states[source, resume]
+        key = source, resume
+        readers[key] -= 1
+        model.flat[:], opt.velocities[:], rows = (
+            states[key] if readers[key] else states.pop(key))
         # The parting epoch's row reports this run's own next rate.
         rows = [replace(row, learning_rate=rates[e + 1])
                 for e, row in enumerate(rows)]
@@ -183,8 +186,9 @@ def train(config: TrainConfig) -> TrainResult:
                 continue
             rate = rates[epoch]
             loss_sum = 0.0
-            for x, y in zip(data.train_x[batches], data.train_y[batches]):
-                loss, cache = forward_loss(model, x, y)
+            for batch in batches:
+                loss, cache = forward_loss(model, data.train_x[batch],
+                                           data.train_y[batch])
                 backward(model, cache, grads)
                 sgd_step(model, grads, rate, opt)
                 loss_sum += loss
@@ -203,7 +207,7 @@ def train(config: TrainConfig) -> TrainResult:
                 test_error=error_rate(model, data.test_x, data.test_y),
                 wall_iterations=iterations,
             ))
-            if (config, epoch + 1) in states:
+            if readers[config, epoch + 1]:
                 states[config, epoch + 1] = (
                     model.flat.copy(), opt.velocities.copy(), rows[:])
     return TrainResult(config, rows, 1.0 - error_rate(model, data.train_x,

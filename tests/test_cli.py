@@ -6,6 +6,7 @@ import pkgutil
 import subprocess
 import sys
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -460,25 +461,31 @@ class TestCompare:
 
     def test_only_states_that_are_read_are_saved(self, tmp_path, capsys,
                                                  monkeypatch):
-        events = []
+        events, plans, peak = [], [], [0]
 
         class Store(dict):
             def __setitem__(self, key, value):
                 events.append(("save", key))
                 super().__setitem__(key, value)
+                peak[0] = max(peak[0], len(self))
 
             def __getitem__(self, key):
                 events.append(("read", key))
                 return super().__getitem__(key)
 
-        real = srslab.training._SHARED
+            def pop(self, key):
+                events.append(("pop", key))
+                return super().pop(key)
+
+        real, real_train = srslab.training._SHARED, srslab.cli.train
 
         class Shared:
             """The prefix ContextVar, wrapping each store it is given."""
 
             def set(self, value):
-                plan, states = value
-                return real.set((plan, Store(states)))
+                plan, readers, states = value
+                plans.append((plan, Store(states)))
+                return real.set((plan, readers, plans[-1][1]))
 
             def get(self):
                 return real.get()
@@ -486,22 +493,55 @@ class TestCompare:
             def reset(self, token):
                 real.reset(token)
 
+        def spy(config):
+            events.append(("run", config))
+            return real_train(config)
+
         monkeypatch.setattr(srslab.training, "_SHARED", Shared())
+        monkeypatch.setattr(srslab.cli, "train", spy)
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text(PREFIX_GRID, encoding="utf-8")
-        assert main(["compare", str(cfg), "--out",
-                     str(tmp_path / "g.csv")]) == 0
-        saved = [key for event, key in events if event == "save"]
+
+        def compare(text):
+            """Run the grid, then check that each state is saved by its
+            run, read by each run that resumes from it in turn, and
+            dropped by the last; return the keys saved."""
+            events.clear()
+            cfg.write_text(text, encoding="utf-8")
+            assert main(["compare", str(cfg), "--out",
+                         str(tmp_path / "g.csv")]) == 0
+            plan, store = plans[-1]
+            assert store == {}  # nothing outlives its last reader
+            on_key, run = {}, None
+            for event, key in events:
+                if event == "run":
+                    run = key
+                else:
+                    on_key.setdefault(key, []).append((event, run))
+            assert set(on_key) == set(plan.values())
+            for key, seen in on_key.items():
+                readers = [r for r in plan if plan[r] == key]
+                assert seen == [("save", key[0])] + [
+                    ("read", r) for r in readers[:-1]] + [("pop", readers[-1])]
+            return [key for event, key in events if event == "save"]
+
+        saved = compare(PREFIX_GRID)
         # Per (sampler, seed): 4@0.1 saves at 2 for 2,4@0.1 and at 4 for
         # 5@0.1; 2,4@0.1 saves at 3 for 2,3@0.1
         assert len(set(saved)) == len(saved) == 3 * 2 * 3
         assert sorted(e for _, e in saved) == [2] * 6 + [3] * 6 + [4] * 6
-        for key in saved:  # each is read, and only after it is saved
-            assert ("read", key) in events[events.index(("save", key)):]
-        assert {key for event, key in events if event == "read"} == set(saved)
+        # a state lives from its save to its last read, so at most one
+        # sampler's 4 are held at once, not all 18
+        assert peak[0] == 4
+        # 2@0.1 and 2@0.5 both part from 4@0.1 at 2, and from each other
+        # at 2: one state, loaded by both
+        saved = compare(TINY_TRAIN + "samplers = epoch\n"
+                        "schedules = 4@0.1 | 2@0.1 | 2@0.5\nseeds = 0\n")
+        assert [e for _, e in saved] == [2]
+        assert [event for event, _ in events].count("read") == 1
 
         events.clear()
-        outside = contextvars.ContextVar("spy", default=({}, Store()))
+        outside = contextvars.ContextVar("spy", default=({}, Counter(),
+                                                         Store()))
         monkeypatch.setattr(srslab.training, "_SHARED", outside)
         train(parse_grid_config(cfg).runs()[0])
         assert events == []

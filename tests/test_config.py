@@ -45,6 +45,7 @@ class TestParseConfig:
         text = (
             "sampler = replacement\nclasses = 4\nipc_train = 9\n"
             "ipc_test = 3\ndim = 5\nsigma_means = 2.5\nsigma_noise = 0.75\n"
+            "label_noise = 0.25\n"
             "hidden = 12\nbatch_size = 6\nlr = 0.05\nmomentum = 0.8\n"
             "weight_decay = 0.001\nlr_milestones = 2,4\nlr_decay = 0.5\n"
             "epochs = 7\nseed = 3\n"
@@ -52,8 +53,8 @@ class TestParseConfig:
         config = parse_config(write(tmp_path, text))
         assert config == TrainConfig(
             sampler="replacement", classes=4, ipc_train=9, ipc_test=3,
-            dim=5, sigma_means=2.5, sigma_noise=0.75, hidden=12,
-            batch_size=6, lr=0.05, momentum=0.8, weight_decay=0.001,
+            dim=5, sigma_means=2.5, sigma_noise=0.75, label_noise=0.25,
+            hidden=12, batch_size=6, lr=0.05, momentum=0.8, weight_decay=0.001,
             lr_milestones=(2, 4), lr_decay=0.5, epochs=7, seed=3,
         )
 

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -45,3 +48,46 @@ class TestGenBlobs:
             gen_blobs(2, 0, 5, 2, 1.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             gen_blobs(2, 5, 5, 2, 0.0, 1.0, seed=0)
+
+    def test_rejects_label_noise_outside_unit_interval_or_one_class(self):
+        for noise in (-0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match="^label_noise must be in"):
+                gen_blobs(2, 5, 5, 2, 1.0, 1.0, seed=0, label_noise=noise)
+        with pytest.raises(ValueError, match="one class"):
+            gen_blobs(1, 5, 5, 2, 1.0, 1.0, seed=0, label_noise=0.5)
+        gen_blobs(1, 5, 5, 2, 1.0, 1.0, seed=0, label_noise=0.0)
+
+    @pytest.mark.parametrize("label_noise", [None, 0.0])
+    def test_bytes_are_pinned(self, label_noise):
+        # sha256 taken when each split was still built as a repeated copy
+        # of the class means plus a separate noise array
+        extra = {} if label_noise is None else {"label_noise": label_noise}
+        data = gen_blobs(10, 20, 30, 16, 3.0, 1.0, seed=7, **extra)
+        digest = hashlib.sha256(b"".join(
+            a.tobytes() for a in (data.train_x, data.train_y, data.test_x,
+                                  data.test_y))).hexdigest()
+        assert digest == ("447f0925d82b5d5ac561cc0ae9185eb8"
+                          "26c178f757588f778b1f512dcca9f839")
+
+    @pytest.mark.parametrize("label_noise", [0.05, 0.3, 0.9])
+    def test_label_noise_flips_that_fraction_to_other_classes(self,
+                                                             label_noise):
+        classes = 10
+        clean = gen_blobs(classes, 1000, 20, 3, 1.0, 1.0, seed=3)
+        noisy = gen_blobs(classes, 1000, 20, 3, 1.0, 1.0, seed=3,
+                          label_noise=label_noise)
+        for name in ("train_x", "test_x", "test_y"):
+            assert np.array_equal(getattr(noisy, name), getattr(clean, name))
+        flipped = noisy.train_y != clean.train_y
+        # every label is flipped, to another class, with probability
+        # label_noise, so the count is Binomial(n, label_noise): 5 sd
+        n, p = flipped.size, label_noise
+        assert abs(np.count_nonzero(flipped) - n * p) < 5 * math.sqrt(
+            n * p * (1 - p))
+        # each of the other classes is as likely: Binomial(k, 1/9) each
+        shifts = (noisy.train_y - clean.train_y)[flipped] % classes
+        counts = np.bincount(shifts, minlength=classes)
+        k = counts.sum()
+        assert counts[0] == 0
+        assert np.all(np.abs(counts[1:] - k / 9) < 5 * math.sqrt(
+            k / 9 * 8 / 9))

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from srslab.nets import Mlp, backward, error_rate, forward_loss, init_mlp
 from srslab.rng import make_stream
+from srslab.samplers import BLOCK_ELEMENTS
 
 
 def naive_forward_loss(model, x, y):
@@ -294,3 +296,24 @@ class TestErrorRate:
         x = np.array([[5.0, 0.0], [0.0, 5.0], [5.0, 0.0]])
         assert error_rate(model, x, np.array([0, 1, 0])) == 0.0
         assert error_rate(model, x, np.array([0, 1, 1])) == pytest.approx(1 / 3)
+
+    def test_memory_is_one_block_of_rows(self):
+        rng = make_stream(0)
+        model = init_mlp(16, 100, 10, rng)
+        x = rng.normal(0.0, 1.0, size=(20_000, 16))
+        y = rng.integers(0, 10, size=20_000)
+        # unblocked: argmax over the whole split's logits at once
+        hidden = np.maximum(x @ model.w1 + model.b1, 0.0)
+        wrong = np.count_nonzero((hidden @ model.w2 + model.b2).argmax(axis=1)
+                                 != y)
+        del hidden
+        tracemalloc.start()
+        try:
+            rate = error_rate(model, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rate == wrong / y.size
+        # One block is BLOCK_ELEMENTS float64 entries of hidden output
+        # (256 KiB) and its logits; the whole split's would be 16 MB.
+        assert peak < 2 * BLOCK_ELEMENTS * 8

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,7 @@ from srslab.cli import main
 from srslab.nets import backward, forward_loss
 from srslab.optim import effective_epoch, init_optim, sgd_step
 from srslab.rng import make_stream
-from srslab.samplers import draw_batch_srs, init_srs
+from srslab.samplers import BLOCK_ELEMENTS, draw_batch_srs, init_srs
 from srslab.training import TrainConfig, lr_at, train
 from test_nets import weighted_grads
 
@@ -133,6 +134,25 @@ class TestTrainLoop:
         assert err.count("\n") == 1
         assert err.startswith("error: training diverged")
 
+    def test_memory_grows_only_by_the_test_split_itself(self):
+        def peak(ipc_test):
+            config = TrainConfig(classes=2, ipc_train=10, ipc_test=ipc_test,
+                                 dim=2, hidden=64, batch_size=5,
+                                 lr_milestones=(), epochs=2)
+            tracemalloc.start()
+            try:
+                train(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        big = 20_000
+        # the split's own points and labels, (dim + 1) float64-sized
+        # entries a row, plus two eval blocks of BLOCK_ELEMENTS float64
+        # entries; evaluating the whole split at once would add 20 MB
+        margin = 2 * big * (2 + 1) * 8 + 2 * BLOCK_ELEMENTS * 8
+        assert peak(big) - peak(5) < margin
+
     def test_traced_run_has_one_span_per_iteration(self):
         # The benchmark's trace replaces these names in srslab.training;
         # train must keep calling them, once per iteration.
@@ -237,6 +257,10 @@ class TestTrainConfig:
             {"batch_size": TrainConfig().train_size + 1},
             {"momentum": 1.0},
             {"weight_decay": -1e-3},
+            {"label_noise": -0.1},
+            {"label_noise": 1.0},
+            {"label_noise": float("nan")},
+            {"label_noise": 0.1, "classes": 1, "batch_size": 50},
         ):
             with pytest.raises(ValueError):
                 dataclasses.replace(TrainConfig(), **bad)
