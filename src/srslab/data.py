@@ -53,7 +53,8 @@ def gen_blobs(classes: int, ipc_train: int, ipc_test: int, dim: int,
     ipc points per class in each split.  With label_noise p > 0, each
     train label is then, with probability p, replaced by one of the other
     classes drawn uniformly, from the seed's LABEL_STREAM, so every other
-    byte is the same as at p = 0.
+    byte is the same as at p = 0.  Raises ValueError if a drawn point is
+    not finite.
     """
     check_blob_params(classes, ipc_train, ipc_test, dim, sigma_means,
                       sigma_noise, label_noise)
@@ -62,7 +63,11 @@ def gen_blobs(classes: int, ipc_train: int, ipc_test: int, dim: int,
     splits = []
     for ipc in (ipc_train, ipc_test):
         x = rng.normal(0.0, sigma_noise, size=(classes, ipc, dim))
-        x += means[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x += means[:, None]
+        if not np.isfinite(x).all():
+            raise ValueError(f"sigma_means {sigma_means} and sigma_noise "
+                             f"{sigma_noise} draw points that are not finite")
         splits += [x.reshape(-1, dim), np.repeat(np.arange(classes), ipc)]
     if label_noise:
         y, rng = splits[1], make_stream(seed, LABEL_STREAM)

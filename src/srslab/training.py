@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
@@ -105,30 +104,31 @@ class TrainResult:
 
 
 # Inside `shared_prefixes`: each run's (source run, parting epoch), the
-# number of runs yet to resume from each such (run, epoch), and the
-# states saved there, each dropped as its last reader loads it.
-_SHARED: ContextVar = ContextVar("shared", default=({}, Counter(), {}))
+# last run to read each such (run, epoch), and the states saved there.
+_SHARED: ContextVar = ContextVar("shared", default=({}, {}, {}))
 
 
 @contextmanager
 def shared_prefixes(runs: list[TrainConfig]):
-    """Within the block, `train` resumes each run, taken in order, from the
-    earliest earlier run that matches it but in its schedule and shares the
-    most epochs of rates with it, where their rates part if they do, saving
-    only the states later runs resume from, each until its last reader
-    has loaded it."""
+    """Within the block, `train` resumes each of `runs`, which must be
+    distinct as a grid's are, from the earliest earlier run that matches
+    it but in its schedule and shares the most epochs of rates with it,
+    at the first epoch where their rates part, or at `epochs` if none,
+    saving only the states later runs resume from, each until its last
+    reader has loaded it."""
     sources, alike = {}, {}
     for run in runs:
         # the run at a constant rate stands for it less its schedule
         earlier = alike.setdefault(replace(
             run, lr_milestones=(), lr_decay=TrainConfig.lr_decay), [])
         for other in earlier:
-            part = next((e for e in range(run.epochs + 1)
-                         if lr_at(run, e) != lr_at(other, e)), 0)
+            part = next((e for e in range(run.epochs)
+                         if lr_at(run, e) != lr_at(other, e)), run.epochs)
             if part > sources.get(run, (None, 0))[1]:
                 sources[run] = (other, part)
         earlier.append(run)
-    token = _SHARED.set((sources, Counter(sources.values()), {}))
+    last = {key: run for run, key in sources.items()}
+    token = _SHARED.set((sources, last, {}))
     try:
         yield
     finally:
@@ -165,16 +165,15 @@ def train(config: TrainConfig) -> TrainResult:
     draw = make_sampler(config.sampler, n, b,
                         make_stream(config.seed, SAMPLER_STREAM))
 
-    sources, readers, states = _SHARED.get()
+    sources, last, states = _SHARED.get()
     rates = [lr_at(config, e) for e in range(config.epochs + 1)]
     source, resume = sources.get(config, (None, 0))
     rows = []
     if resume:
         key = source, resume
-        readers[key] -= 1
         model.flat[:], opt.velocities[:], rows = (
-            states[key] if readers[key] else states.pop(key))
-        # The parting epoch's row reports this run's own next rate.
+            states.pop(key) if last[key] == config else states[key])
+        # Copied rows report this run's own next rates.
         rows = [replace(row, learning_rate=rates[e + 1])
                 for e, row in enumerate(rows)]
     # A diverging run overflows in numpy before the loss guard below
@@ -207,7 +206,7 @@ def train(config: TrainConfig) -> TrainResult:
                 test_error=error_rate(model, data.test_x, data.test_y),
                 wall_iterations=iterations,
             ))
-            if readers[config, epoch + 1]:
+            if (config, epoch + 1) in last:
                 states[config, epoch + 1] = (
                     model.flat.copy(), opt.velocities.copy(), rows[:])
     return TrainResult(config, rows, 1.0 - error_rate(model, data.train_x,

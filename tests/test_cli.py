@@ -6,7 +6,6 @@ import pkgutil
 import subprocess
 import sys
 import tomllib
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +31,13 @@ TINY_TRAIN = (
 PREFIX_GRID = TINY_TRAIN + (
     "samplers = epoch, srs, replacement\n"
     "schedules = 4@0.1 | 2,4@0.1 | 2,3@0.1 | 5@0.1\nseeds = 0, 1\n"
+)
+# The first two schedules step at the same rates through all 4 epochs,
+# so the second resumes from the first after its last epoch; the third
+# parts from both at epoch 2 and resumes from the first.
+TWIN_GRID = TINY_TRAIN + (
+    "samplers = epoch, srs\n"
+    "schedules = 10@0.1 | 11@0.1 | 2@0.1\nseeds = 0, 1\n"
 )
 
 
@@ -305,6 +311,23 @@ class TestTrain:
         assert calls == []
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("sigma_means, error", [
+        ("1e308", "sigma_means 1e+308 and sigma_noise 1.0 draw points "
+                  "that are not finite"),
+        # finite but huge points still train, and diverge
+        ("1e307", "training diverged"),
+    ], ids=["not-finite", "finite"])
+    def test_blob_scales_too_large_exit_two(self, tmp_path, capsys,
+                                            sigma_means, error):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(f"sigma_means = {sigma_means}\n", encoding="utf-8")
+        out_path = tmp_path / "x.csv"
+        assert main(["train", str(cfg), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_batch_size_error_names_config_keys(self, tmp_path, capsys,
                                                 command):
@@ -459,6 +482,61 @@ class TestCompare:
         train(parse_grid_config(cfg).runs()[1])
         assert len(calls) == 4 * per_epoch
 
+    def test_runs_whose_rates_never_part_share_every_epoch(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        calls, real_forward = [], srslab.training.forward_loss
+        results, real_train = [], srslab.cli.train
+
+        def spy_forward(*args):
+            calls.append(None)
+            return real_forward(*args)
+
+        def spy_train(config):
+            results.append(real_train(config))
+            return results[-1]
+
+        monkeypatch.setattr(srslab.training, "forward_loss", spy_forward)
+        monkeypatch.setattr(srslab.cli, "train", spy_train)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TWIN_GRID, encoding="utf-8")
+        shared = tmp_path / "shared.csv"
+        assert main(["compare", str(cfg), "--out", str(shared)]) == 0
+        # Per (sampler, seed): 10@0.1 trains all 4 epochs, 11@0.1 none
+        # and 2@0.1 the last 2; 2 samplers x 2 seeds, 4 batches an epoch
+        assert len(calls) == 2 * 2 * (4 + 0 + 2) * 4 == 96
+        monkeypatch.setattr(srslab.cli, "shared_prefixes",
+                            lambda runs: contextlib.nullcontext())
+        standalone = tmp_path / "standalone.csv"
+        calls.clear()
+        assert main(["compare", str(cfg), "--out", str(standalone)]) == 0
+        assert len(calls) == 2 * 2 * 3 * 4 * 4
+        assert shared.read_bytes() == standalone.read_bytes()
+        # every row of the run that trained no epoch, its rates included
+        assert results[:12] == results[12:]
+
+    @pytest.mark.parametrize("grid", [PREFIX_GRID, TWIN_GRID],
+                             ids=["prefix", "twin"])
+    def test_a_compare_leaves_its_plan_as_built(self, tmp_path, capsys,
+                                                monkeypatch, grid):
+        plans, real = [], srslab.cli.shared_prefixes
+
+        @contextlib.contextmanager
+        def spy(runs):
+            with real(runs):
+                plans.append((runs, srslab.training._SHARED.get()))
+                yield
+
+        monkeypatch.setattr(srslab.cli, "shared_prefixes", spy)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(grid, encoding="utf-8")
+        assert main(["compare", str(cfg), "--out",
+                     str(tmp_path / "g.csv")]) == 0
+        [(runs, (sources, last, states))] = plans
+        with real(runs):
+            fresh_sources, fresh_last, _ = srslab.training._SHARED.get()
+        assert (sources, last, states) == (fresh_sources, fresh_last, {})
+
     def test_only_states_that_are_read_are_saved(self, tmp_path, capsys,
                                                  monkeypatch):
         events, plans, peak = [], [], [0]
@@ -483,9 +561,9 @@ class TestCompare:
             """The prefix ContextVar, wrapping each store it is given."""
 
             def set(self, value):
-                plan, readers, states = value
-                plans.append((plan, Store(states)))
-                return real.set((plan, readers, plans[-1][1]))
+                sources, last, states = value
+                plans.append((sources, Store(states)))
+                return real.set((sources, last, plans[-1][1]))
 
             def get(self):
                 return real.get()
@@ -540,8 +618,7 @@ class TestCompare:
         assert [event for event, _ in events].count("read") == 1
 
         events.clear()
-        outside = contextvars.ContextVar("spy", default=({}, Counter(),
-                                                         Store()))
+        outside = contextvars.ContextVar("spy", default=({}, {}, Store()))
         monkeypatch.setattr(srslab.training, "_SHARED", outside)
         train(parse_grid_config(cfg).runs()[0])
         assert events == []

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ class TestGenBlobs:
         with pytest.raises(ValueError, match="one class"):
             gen_blobs(1, 5, 5, 2, 1.0, 1.0, seed=0, label_noise=0.5)
         gen_blobs(1, 5, 5, 2, 1.0, 1.0, seed=0, label_noise=0.0)
+
+    @pytest.mark.parametrize("sigma_means, sigma_noise",
+                             [(1e308, 1.0), (1.0, 1e308), (1e308, 1e308)])
+    def test_points_that_are_not_finite_name_both_scales(self, sigma_means,
+                                                         sigma_noise):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sigma_means {sigma_means} and sigma_noise {sigma_noise} "
+                "draw points that are not finite")):
+            gen_blobs(10, 50, 20, 16, sigma_means, sigma_noise, seed=0)
 
     @pytest.mark.parametrize("label_noise", [None, 0.0])
     def test_bytes_are_pinned(self, label_noise):
