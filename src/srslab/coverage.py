@@ -90,9 +90,29 @@ def visit_stats(draw_counts: np.ndarray, iterations: int,
     expected = total / n  # every row's mean, by the sum check
     return [VisitStats(row, int(lo), int(hi), expected,
                        (n - int(np.count_nonzero(row))) / n,
-                       float(((row - expected) ** 2 / expected).sum())
-                       if total else 0.0)
+                       _chi_square(row, expected) if total else 0.0)
             for row, lo, hi in zip(counts, lows, counts.max(axis=1))]
+
+
+def _chi_square(row: np.ndarray, expected: float) -> float:
+    """sum((row - E)**2 / E) in one float64 temporary, bit for bit."""
+    d = row - expected
+    d *= d
+    return float(np.divide(d, expected, out=d).sum())
+
+
+def _count_dtype(kind: str, dataset_size: int, batch_size: int,
+                iterations: int) -> np.dtype:
+    """The narrowest signed integer type that holds every count `kind`
+    can reach in T draws.  epoch, once and replacement never repeat an
+    index within a batch, so a count is at most T.  An srs draw reads
+    distinct slots and overwrites them, so each copy of an index is drawn
+    at most once: a count is at most 1 + `refill_count`, at most
+    1 + ceil(T*B/N), and can reach it."""
+    bound = (1 + -(-iterations * batch_size // dataset_size)
+             if kind == "srs" else iterations)
+    return next((np.dtype(t) for t in (np.int8, np.int16, np.int32)
+                 if bound <= np.iinfo(t).max), np.dtype(np.int64))
 
 
 def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
@@ -110,9 +130,8 @@ def simulate_coverage(kind: str, dataset_size: int, batch_size: int,
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     check_sizes(dataset_size, batch_size)
     block = max(1, BLOCK_ELEMENTS // batch_size)
-    # No count exceeds T*B, so int32 holds every count below 2**31.
-    counts = np.zeros((replicas, dataset_size), dtype=np.int32
-                      if iterations * batch_size < 2**31 else np.int64)
+    counts = np.zeros((replicas, dataset_size), dtype=_count_dtype(
+        kind, dataset_size, batch_size, iterations))
     for r, row in enumerate(counts):
         draw = make_sampler(kind, dataset_size, batch_size, make_stream(seed, r))
         for done in range(0, iterations, block):

@@ -10,8 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 # Stream ids carved out of one config seed: the blob points, the initial
-# weights, the sampler's draws and the train label noise.
-DATA_STREAM, MODEL_STREAM, SAMPLER_STREAM, LABEL_STREAM = range(4)
+# weights, the sampler's draws, the train label noise and the shuffled
+# srs sequence.
+(DATA_STREAM, MODEL_STREAM, SAMPLER_STREAM, LABEL_STREAM,
+ SEQUENCE_STREAM) = range(5)
 
 
 def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:

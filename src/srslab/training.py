@@ -13,8 +13,12 @@ from .data import check_blob_params, gen_blobs
 from .nets import (backward, check_mlp_sizes, error_rate, forward_loss,
                    init_mlp)
 from .optim import check_optim_params, effective_epoch, init_optim, sgd_step
-from .rng import MODEL_STREAM, SAMPLER_STREAM, make_stream
+from .rng import MODEL_STREAM, SAMPLER_STREAM, SEQUENCE_STREAM, make_stream
 from .samplers import check_kind, check_sizes, make_sampler
+
+# The srs refill order: sequence index s holds sample s, or sample p[s] of
+# a fixed permutation p from the run's SEQUENCE_STREAM.
+SEQUENCES = ("identity", "shuffled")
 
 
 @dataclass(frozen=True)
@@ -24,6 +28,7 @@ class TrainConfig:
     recipe this harness scales down."""
 
     sampler: str = "srs"
+    sequence: str = "identity"
     classes: int = 10
     ipc_train: int = 50
     ipc_test: int = 20
@@ -43,6 +48,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_kind(self.sampler)
+        if self.sequence not in SEQUENCES:
+            raise ValueError(f"sequence must be one of {SEQUENCES}, "
+                             f"got {self.sequence!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
@@ -144,6 +152,18 @@ def lr_at(config: TrainConfig, epoch) -> float:
     return config.lr * config.lr_decay ** passed
 
 
+def make_draw(config: TrainConfig):
+    """The run's `draw(k)`: `make_sampler` on its sampler stream, with an
+    srs run's drawn sequence indices mapped to samples by its sequence."""
+    n = config.train_size
+    draw = make_sampler(config.sampler, n, config.batch_size,
+                        make_stream(config.seed, SAMPLER_STREAM))
+    if config.sampler != "srs" or config.sequence == "identity":
+        return draw
+    order = make_stream(config.seed, SEQUENCE_STREAM).permutation(n)
+    return lambda k: order[draw(k)]
+
+
 def train(config: TrainConfig) -> TrainResult:
     """Run the configured loop: per effective epoch, draw its batches and
     take its rate; per batch, gather its rows, forward/backward into one
@@ -162,8 +182,7 @@ def train(config: TrainConfig) -> TrainResult:
                      make_stream(config.seed, MODEL_STREAM))
     opt = init_optim(model, config.momentum, config.weight_decay)
     grads = model.zeros_like()
-    draw = make_sampler(config.sampler, n, b,
-                        make_stream(config.seed, SAMPLER_STREAM))
+    draw = make_draw(config)
 
     sources, last, states = _SHARED.get()
     rates = [lr_at(config, e) for e in range(config.epochs + 1)]
@@ -194,10 +213,14 @@ def train(config: TrainConfig) -> TrainResult:
             iterations = (epoch + 1) * per_epoch
             completed = effective_epoch(iterations, n, b)
             if not math.isfinite(loss_sum):
+                # In the first epoch the inputs' scale may be the cause.
+                scale = (f", or check the input scale: sigma_means "
+                         f"{config.sigma_means} and sigma_noise "
+                         f"{config.sigma_noise}" if epoch == 0 else "")
                 raise ValueError(
                     f"training diverged: the train loss is not finite in "
                     f"effective epoch {completed} (iterations up to "
-                    f"{iterations}); lower lr"
+                    f"{iterations}); lower lr{scale}"
                 )
             rows.append(MetricsRow(
                 effective_epoch=float(completed),

@@ -326,6 +326,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}")
         assert err.count("\n") == 1
+        assert f"sigma_means {float(sigma_means)}" in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])

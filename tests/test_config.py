@@ -98,6 +98,12 @@ class TestParseConfig:
                                              r"\(.*\), got 'shuffle'"):
             parse_config(write(tmp_path, "sampler = shuffle\n"))
 
+    def test_sequence_key(self, tmp_path):
+        path = write(tmp_path, "sequence = shuffled\n")
+        assert parse_config(path).sequence == "shuffled"
+        assert parse_config(write(tmp_path, "", name="b.cfg")).sequence == (
+            "identity")
+
     @settings(max_examples=30, deadline=None)
     @given(key=st.sampled_from([f.name for f in fields(TrainConfig)
                                 if f.type == "float"]),

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srslab.coverage
 from srslab.cli import coverage_table
@@ -10,6 +12,8 @@ from srslab.coverage import (STATS, ReplicaReport,
                              expected_untouched_replacement,
                              simulate_coverage, visit_stats)
 from srslab.csvio import format_cell, to_string
+from srslab.rng import make_stream
+from srslab.samplers import BLOCK_ELEMENTS, make_sampler, refill_count
 
 
 class TestExpectedUntouched:
@@ -112,11 +116,79 @@ class TestSimulateCoverage:
         assert shapes == [(5, 30)]
         assert len(report.per_replica) == 5
 
-    @pytest.mark.parametrize("kind", ["srs", "epoch", "replacement"])
-    def test_counts_are_int32_below_the_bound(self, kind):
+    @pytest.mark.parametrize("kind", ["srs", "epoch", "replacement", "once"])
+    def test_counts_are_int8_at_the_c5_shape(self, kind):
         report = simulate_coverage(kind, 1000, 32, 31, seed=0, replicas=3)
         assert [s.draw_counts.dtype for s in report.per_replica] == [
-            np.int32] * 3
+            np.int8] * 3
+
+    @pytest.mark.parametrize("kind, iterations, dtype", [
+        *((kind, t, dtype) for kind in ("epoch", "once", "replacement")
+          for t, dtype in ((127, np.int8), (128, np.int16),
+                           (32767, np.int16), (32768, np.int32))),
+        ("srs", 126, np.int8), ("srs", 127, np.int16)])
+    def test_counts_fit_at_the_edges_where_every_index_is_drawn(
+            self, kind, iterations, dtype):
+        # At N = B every batch draws every index, so every count is T, the
+        # most a kind without repeats can reach; srs is bounded by 1 + T.
+        n, seed, replicas = 3, 4, 2
+        report = simulate_coverage(kind, n, n, iterations, seed, replicas)
+        block = BLOCK_ELEMENTS // n
+        for r, stats in enumerate(report.per_replica):
+            draw = make_sampler(kind, n, n, make_stream(seed, r))
+            recount = sum(np.bincount(draw(min(block, iterations - done))
+                                      .ravel(), minlength=n)
+                          for done in range(0, iterations, block))
+            assert stats.draw_counts.dtype == dtype
+            assert recount.dtype == np.int64
+            assert np.array_equal(stats.draw_counts, recount)
+            assert stats.min_count == stats.max_count == iterations
+
+    @staticmethod
+    def assert_srs_counts_within_the_refills(n, b, t, seed):
+        """Each count is at most 1 + its refills, in the narrowest type
+        that holds the largest of those bounds."""
+        report = simulate_coverage("srs", n, b, t, seed, replicas=2)
+        bound = [1 + refill_count(i, t, n, b) for i in range(n)]
+        dtype = next(d for d in (np.int8, np.int16, np.int32)
+                     if max(bound) <= np.iinfo(d).max)
+        for stats in report.per_replica:
+            assert stats.draw_counts.dtype == dtype
+            assert (stats.draw_counts <= bound).all()
+        return report
+
+    def test_srs_counts_reach_one_plus_the_refills(self):
+        # A draw reads distinct slots, so each copy of an index is drawn
+        # at most once; at this shape some count reaches the bound.
+        n, b, t = 1000, 32, 31250
+        report = self.assert_srs_counts_within_the_refills(n, b, t, seed=0)
+        assert max(s.max_count for s in report.per_replica) == 1 + t * b // n
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), b_share=st.floats(0, 1),
+           t=st.integers(0, 300), seed=st.integers(0, 2**32))
+    def test_srs_counts_stay_within_the_refills(self, n, b_share, t, seed):
+        b = 1 + round(b_share * (n - 1))
+        self.assert_srs_counts_within_the_refills(n, b, t, seed)
+
+    def test_srs_counts_take_one_byte_per_sample(self, monkeypatch):
+        # The (R, N) matrix was int32 before: 4*R*N bytes on its own.
+        replicas, n = 64, 50_000
+        nbytes = []
+
+        def spy(counts, iterations, batch_size):
+            nbytes.append(counts.nbytes)
+            return visit_stats(counts, iterations, batch_size)
+
+        monkeypatch.setattr(srslab.coverage, "visit_stats", spy)
+        tracemalloc.start()
+        try:
+            simulate_coverage("srs", n, 64, 781, seed=3, replicas=replicas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nbytes == [replicas * n]
+        assert peak < 2 * replicas * n
 
     @pytest.mark.parametrize("total, dtype", [(2**31 - 1, np.int32),
                                               (2**31, np.int64)])
@@ -291,11 +363,14 @@ class TestVisitStats:
         counts = np.stack([np.bincount(rng.integers(0, n, t * b),
                                        minlength=n)
                            for _ in range(replicas)])
+        # and int8 and int16, the other widths simulate_coverage counts in
         wide = visit_stats(counts.astype(np.int64), t, b)
-        narrow = visit_stats(counts.astype(np.int32), t, b)
-        for w, s in zip(wide, narrow, strict=True):
-            assert np.array_equal(w.draw_counts, s.draw_counts)
-            assert repr(tuple(getattr(w, stat) for stat in STATS)) == repr(
-                tuple(getattr(s, stat) for stat in STATS))
-        assert to_string(coverage_table(ReplicaReport(t, wide))) == (
-            to_string(coverage_table(ReplicaReport(t, narrow))))
+        for dtype in (np.int8, np.int16, np.int32):
+            narrow = visit_stats(counts.astype(dtype), t, b)
+            for w, s in zip(wide, narrow, strict=True):
+                assert s.draw_counts.dtype == dtype
+                assert np.array_equal(w.draw_counts, s.draw_counts)
+                assert repr(tuple(getattr(w, stat) for stat in STATS)) == (
+                    repr(tuple(getattr(s, stat) for stat in STATS)))
+            assert to_string(coverage_table(ReplicaReport(t, wide))) == (
+                to_string(coverage_table(ReplicaReport(t, narrow))))

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,9 +15,10 @@ import srslab.training
 from srslab.cli import main
 from srslab.nets import backward, forward_loss
 from srslab.optim import effective_epoch, init_optim, sgd_step
-from srslab.rng import make_stream
-from srslab.samplers import BLOCK_ELEMENTS, draw_batch_srs, init_srs
-from srslab.training import TrainConfig, lr_at, train
+from srslab.rng import SAMPLER_STREAM, SEQUENCE_STREAM, make_stream
+from srslab.samplers import (BLOCK_ELEMENTS, draw_batch_srs, init_srs,
+                             make_sampler)
+from srslab.training import TrainConfig, lr_at, make_draw, train
 from test_nets import weighted_grads
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "srsbench" / "spans.py"
@@ -119,6 +121,20 @@ class TestTrainLoop:
             err[-1]]
         assert "not finite" in err[-1]
         assert not out.exists()
+
+    def test_first_epoch_divergence_also_names_the_input_scale(self):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=r"effective epoch 1 .*; "
+                               r"lower lr, or check the input scale: "
+                               r"sigma_means 3\.0 and sigma_noise 1\.0$"):
+                train(TrainConfig(lr=1e30, epochs=3))
+
+    def test_later_divergence_names_only_lr(self):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError) as info:
+                train(TrainConfig(lr=50.0, lr_milestones=(), epochs=20))
+        assert "effective epoch 1 " not in str(info.value)
+        assert str(info.value).endswith("); lower lr")
 
     def test_diverging_run_prints_only_its_error(self, tmp_path, capsys):
         # No errstate here: train itself keeps numpy's overflow warnings
@@ -228,6 +244,89 @@ class TestDuplicateBatchTraining:
         for (_, a), (_, b) in zip(model_dup.param_items(),
                                   model_ded.param_items()):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+def sweep_ages(draws, samples, n, b):
+    """Draws since the refill cursor, sweeping samples in index order, last
+    wrote each of `samples` before each of `draws`: one row per draw, age
+    0 for a sample written by the draw before."""
+    written = draws[:, None] * b - 1 - (draws[:, None] * b - 1 - samples) % n
+    return draws[:, None] - 1 - written // b
+
+
+class TestSequence:
+    """The srs refill order at (N, B) = (2000, 64): ten classes of 200
+    samples, class-major as gen_blobs emits them, counted over 200 epochs
+    after a 20-epoch warm-up.  A class's age is that of its first sample
+    in the identity sweep.  In steady state a sample written a draws ago
+    has q**a / (1 - q**L) expected copies in the pool, q = 1 - B/N and
+    L = N/B, and each copy is drawn with probability B/N."""
+
+    N, B, CLASSES, WARM, EPOCHS = 2000, 64, 10, 20, 200
+    Z_BOUND = 4.0  # per age bin, on a Poisson scale, over 32 bins
+
+    def rates_by_class_age(self, sampler, sequence):
+        """Per class age: draws observed, expected under the closed form,
+        and expected under uniform draws."""
+        n, b, classes = self.N, self.B, self.CLASSES
+        ipc, per = n // classes, n // b
+        draw = make_draw(TrainConfig(sampler=sampler, sequence=sequence,
+                                     classes=classes, ipc_train=ipc,
+                                     batch_size=b))
+        draw(self.WARM * per)
+        t = np.arange(self.WARM * per, (self.WARM + self.EPOCHS) * per)
+        labels = draw(len(t)) // ipc + classes * np.arange(len(t))[:, None]
+        drawn = np.bincount(labels.ravel(), minlength=len(t) * classes)
+        ages = sweep_ages(t, np.arange(classes) * ipc, n, b).ravel()
+        # A class's closed form sums its samples' and repeats with the
+        # cursor's period, N / gcd(N, B) draws.
+        q, period = 1 - b / n, n // math.gcd(n, b)
+        copies = q ** sweep_ages(t[:period], np.arange(n), n, b) / (
+            1 - q ** (n / b))
+        closed = np.resize(copies.reshape(period, classes, ipc).sum(axis=2)
+                           * b / n, (len(t), classes)).ravel()
+        return (np.bincount(ages, weights=drawn),
+                np.bincount(ages, weights=closed),
+                np.bincount(ages) * b / classes)
+
+    def test_identity_sweep_matches_the_closed_form(self):
+        drawn, closed, uniform = self.rates_by_class_age("srs", "identity")
+        assert len(drawn) == 32
+        assert np.abs((drawn - closed) / np.sqrt(closed)).max() < self.Z_BOUND
+        rate = drawn / uniform
+        assert rate.max() / rate.min() > 2.0
+
+    @pytest.mark.parametrize("sampler, sequence", [("srs", "shuffled"),
+                                                   ("epoch", "identity")])
+    def test_shuffled_sequence_is_as_flat_as_epoch(self, sampler, sequence):
+        drawn, _, uniform = self.rates_by_class_age(sampler, sequence)
+        z = (drawn - uniform) / np.sqrt(uniform)
+        assert np.abs(z).max() < self.Z_BOUND
+
+    def test_shuffled_maps_srs_draws_through_a_fixed_permutation(self):
+        config = TrainConfig(ipc_train=20, batch_size=8, seed=5)
+
+        def plain():
+            return make_sampler("srs", 200, 8, make_stream(5, SAMPLER_STREAM))
+
+        order = make_stream(5, SEQUENCE_STREAM).permutation(200)
+        shuffled = make_draw(dataclasses.replace(config, sequence="shuffled"))
+        assert np.array_equal(make_draw(config)(30), plain()(30))
+        assert np.array_equal(shuffled(30), order[plain()(30)])
+
+    @pytest.mark.parametrize("sampler", ["epoch", "replacement", "once"])
+    def test_only_srs_reads_the_sequence(self, sampler):
+        config = TrainConfig(sampler=sampler, ipc_train=20, batch_size=8,
+                             lr_milestones=(), epochs=2)
+        shuffled = dataclasses.replace(config, sequence="shuffled")
+        assert np.array_equal(make_draw(config)(30), make_draw(shuffled)(30))
+        assert train(config).rows == train(shuffled).rows
+
+    def test_rejects_an_unknown_sequence(self):
+        with pytest.raises(ValueError, match=r"^sequence must be one of "
+                                             r"\('identity', 'shuffled'\), "
+                                             r"got 'sorted'$"):
+            TrainConfig(sequence="sorted")
 
 
 class TestTrainConfig:
