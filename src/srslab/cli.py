@@ -124,8 +124,14 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise a usage error for `main` to report in one `error:` line."""
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="srslab",
         description="Sequenced-replacement sampling experiments: exact "
                     "configuration counts, coverage simulations, and "
@@ -163,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

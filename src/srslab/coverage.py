@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .rng import make_stream
-from .samplers import BLOCK_ELEMENTS, check_sizes, make_sampler
+from .samplers import BLOCK_ELEMENTS, check_sizes, make_sampler, refill_count
 
 
 @dataclass
@@ -107,9 +107,9 @@ def _count_dtype(kind: str, dataset_size: int, batch_size: int,
     can reach in T draws.  epoch, once and replacement never repeat an
     index within a batch, so a count is at most T.  An srs draw reads
     distinct slots and overwrites them, so each copy of an index is drawn
-    at most once: a count is at most 1 + `refill_count`, at most
-    1 + ceil(T*B/N), and can reach it."""
-    bound = (1 + -(-iterations * batch_size // dataset_size)
+    at most once: a count is at most 1 + `refill_count`, largest at
+    index 0, and can reach it."""
+    bound = (1 + refill_count(0, iterations, dataset_size, batch_size)
              if kind == "srs" else iterations)
     return next((np.dtype(t) for t in (np.int8, np.int16, np.int32)
                  if bound <= np.iinfo(t).max), np.dtype(np.int64))

@@ -187,14 +187,12 @@ def train(config: TrainConfig) -> TrainResult:
     sources, last, states = _SHARED.get()
     rates = [lr_at(config, e) for e in range(config.epochs + 1)]
     source, resume = sources.get(config, (None, 0))
-    rows = []
+    records = []  # (train_loss, test_error) per completed effective epoch
     if resume:
         key = source, resume
-        model.flat[:], opt.velocities[:], rows = (
+        model.flat[:], opt.velocities[:], saved = (
             states.pop(key) if last[key] == config else states[key])
-        # Copied rows report this run's own next rates.
-        rows = [replace(row, learning_rate=rates[e + 1])
-                for e, row in enumerate(rows)]
+        records = list(saved)
     # A diverging run overflows in numpy before the loss guard below
     # reports it in one error, so those warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,16 +200,13 @@ def train(config: TrainConfig) -> TrainResult:
             batches = draw(per_epoch)  # redraws depend on the block size
             if epoch < resume:
                 continue
-            rate = rates[epoch]
             loss_sum = 0.0
             for batch in batches:
                 loss, cache = forward_loss(model, data.train_x[batch],
                                            data.train_y[batch])
                 backward(model, cache, grads)
-                sgd_step(model, grads, rate, opt)
+                sgd_step(model, grads, rates[epoch], opt)
                 loss_sum += loss
-            iterations = (epoch + 1) * per_epoch
-            completed = effective_epoch(iterations, n, b)
             if not math.isfinite(loss_sum):
                 # In the first epoch the inputs' scale may be the cause.
                 scale = (f", or check the input scale: sigma_means "
@@ -219,18 +214,16 @@ def train(config: TrainConfig) -> TrainResult:
                          f"{config.sigma_noise}" if epoch == 0 else "")
                 raise ValueError(
                     f"training diverged: the train loss is not finite in "
-                    f"effective epoch {completed} (iterations up to "
-                    f"{iterations}); lower lr{scale}"
+                    f"effective epoch {epoch + 1} (iterations up to "
+                    f"{(epoch + 1) * per_epoch}); lower lr{scale}"
                 )
-            rows.append(MetricsRow(
-                effective_epoch=float(completed),
-                learning_rate=rates[epoch + 1],
-                train_loss=loss_sum / per_epoch,
-                test_error=error_rate(model, data.test_x, data.test_y),
-                wall_iterations=iterations,
-            ))
+            records.append((loss_sum / per_epoch,
+                            error_rate(model, data.test_x, data.test_y)))
             if (config, epoch + 1) in last:
                 states[config, epoch + 1] = (
-                    model.flat.copy(), opt.velocities.copy(), rows[:])
+                    model.flat.copy(), opt.velocities.copy(), tuple(records))
+    rows = [MetricsRow(float(effective_epoch(e * per_epoch, n, b)), rates[e],
+                       loss, error, e * per_epoch)
+            for e, (loss, error) in enumerate(records, 1)]
     return TrainResult(config, rows, 1.0 - error_rate(model, data.train_x,
                                                       data.train_y))

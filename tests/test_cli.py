@@ -32,6 +32,12 @@ PREFIX_GRID = TINY_TRAIN + (
     "samplers = epoch, srs, replacement\n"
     "schedules = 4@0.1 | 2,4@0.1 | 2,3@0.1 | 5@0.1\nseeds = 0, 1\n"
 )
+# The second and third schedules part from the first at epoch 2, and
+# from each other there too, so both resume from one saved state.
+FORK_GRID = TINY_TRAIN + (
+    "samplers = epoch, srs\n"
+    "schedules = 4@0.1 | 2@0.1 | 2@0.5\nseeds = 0, 1\n"
+)
 # The first two schedules step at the same rates through all 4 epochs,
 # so the second resumes from the first after its last epoch; the third
 # parts from both at epoch 2 and resumes from the first.
@@ -457,6 +463,30 @@ class TestCompare:
                   expected)
         assert out_path.read_bytes() == expected.read_bytes()
 
+    def test_two_readers_of_one_state_each_match_standalone_runs(
+            self, tmp_path, capsys, monkeypatch):
+        results, real_train = [], srslab.cli.train
+
+        def spy(config):
+            results.append(real_train(config))
+            return results[-1]
+
+        monkeypatch.setattr(srslab.cli, "train", spy)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(FORK_GRID, encoding="utf-8")
+        runs = parse_grid_config(cfg).runs()
+        with srslab.training.shared_prefixes(runs):
+            sources = srslab.training._SHARED.get()[0]
+        readers = [list(sources.values()).count(key)
+                   for key in set(sources.values())]
+        assert readers == [2] * 4  # per (sampler, seed)
+        assert main(["compare", str(cfg), "--out",
+                     str(tmp_path / "g.csv")]) == 0
+        assert [result.config for result in results] == runs
+        for result in results:
+            # every row and rate, the second reader's included
+            assert result == train(result.config)
+
     def test_shared_prefixes_are_trained_once_per_compare(self, tmp_path,
                                                           capsys,
                                                           monkeypatch):
@@ -666,6 +696,30 @@ class TestCompare:
                        "underflows to 0 by the last epoch"]
         assert calls == []
         assert not out_path.exists()
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "foo", "10", "3", "--iterations", "1", "--out", "x.csv"],
+        ["count", "abc", "3"],
+        ["count", "10"],
+        ["bogus"],
+    ], ids=["bad-choice", "bad-int", "missing-arg", "bad-command"])
+    def test_usage_error_is_one_error_line(self, tmp_path, capsys,
+                                           monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["count", "--help"])
+        assert exit_info.value.code == 0
+        assert "dataset_size" in capsys.readouterr().out
 
 
 class TestProcess:
