@@ -168,5 +168,5 @@ def serialize_config(config: TrainConfig) -> str:
         value = getattr(config, f.name)
         text = (",".join(str(v) for v in value) if isinstance(value, tuple)
                 else format_cell(value))
-        lines.append(f"{f.name} = {text}")
+        lines.append(f"{f.name} = {text}".rstrip())
     return "\n".join(lines) + "\n"

@@ -1,12 +1,14 @@
 """Rectifier networks with softmax cross-entropy.
 
-`Mlp` holds a network of any depth; `init_mlp` builds one hidden layer,
-deliberately the smallest model whose training is nonconvex, so sampler
-effects are observable while the gradients stay cheap to verify against
-finite differences.
+`Mlp` holds a network of any depth; `init_mlp` builds it from a list of
+hidden widths, by default one: the smallest model whose training is
+nonconvex, so sampler effects are observable while the gradients stay cheap
+to verify against finite differences.  No hidden layer is softmax regression.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -60,18 +62,22 @@ class Mlp:
         return dict(self.param_items())[name]
 
 
-def check_mlp_sizes(dim: int, hidden: int, classes: int) -> None:
-    """Raise ValueError unless every layer width is >= 1."""
-    for key, width in (("dim", dim), ("hidden", hidden), ("classes", classes)):
+def check_mlp_sizes(dim: int, hidden: int | tuple[int, ...],
+                    classes: int) -> tuple[int, ...]:
+    """Layer widths `(dim, *hidden, classes)` as ints, each must be >= 1."""
+    widths = tuple(map(operator.index, (dim, *np.atleast_1d(hidden), classes)))
+    keys = ("dim", *["hidden"] * (len(widths) - 2), "classes")
+    for key, width in zip(keys, widths):
         if width < 1:
             raise ValueError(f"{key} must be >= 1, got {width}")
+    return widths
 
 
-def init_mlp(dim: int, hidden: int, classes: int,
+def init_mlp(dim: int, hidden: int | tuple[int, ...], classes: int,
              rng: np.random.Generator) -> Mlp:
-    """Gaussian weights / sqrt(fan-in), drawn in layer order; zero biases."""
-    check_mlp_sizes(dim, hidden, classes)
-    widths = (dim, hidden, classes)
+    """Layers of widths `(dim, *hidden, classes)`: Gaussian weights /
+    sqrt(fan-in), drawn in layer order; zero biases."""
+    widths = check_mlp_sizes(dim, hidden, classes)
     params = []
     for fan_in, fan_out in zip(widths, widths[1:]):
         params += [rng.normal(0.0, 1.0, size=(fan_in, fan_out))

@@ -36,7 +36,7 @@ class TrainConfig:
     sigma_means: float = 3.0
     sigma_noise: float = 1.0
     label_noise: float = 0.0
-    hidden: int = 64
+    hidden: tuple[int, ...] = (64,)
     batch_size: int = 64
     lr: float = 0.1
     momentum: float = 0.9
@@ -58,7 +58,8 @@ class TrainConfig:
         check_blob_params(self.classes, self.ipc_train, self.ipc_test,
                           self.dim, self.sigma_means, self.sigma_noise,
                           self.label_noise)
-        check_mlp_sizes(self.dim, self.hidden, self.classes)
+        object.__setattr__(self, "hidden", check_mlp_sizes(
+            self.dim, self.hidden, self.classes)[1:-1])
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size > self.train_size:

@@ -1,6 +1,7 @@
 import contextlib
 import contextvars
 import hashlib
+import math
 import os
 import pkgutil
 import subprocess
@@ -18,6 +19,7 @@ from srslab.cli import CompareRow, main, records_table, run_grid
 from srslab.config import parse_config, parse_grid_config
 from srslab.coverage import expected_untouched_replacement
 from srslab.csvio import read_csv, write_csv
+from srslab.nets import init_mlp
 from srslab.training import lr_at, train
 
 TINY_TRAIN = (
@@ -272,6 +274,40 @@ class TestTrain:
         assert main(["train", str(cfg), "--out", str(a)]) == 0
         assert main(["train", str(cfg), "--out", str(b)]) == 0
         assert sha256(a) == sha256(b)
+
+    @pytest.mark.parametrize("widths, depth", [
+        ("", 1), ("8", 2), ("64,64", 3)], ids=["none", "one", "two"])
+    def test_hidden_lists_the_hidden_widths(self, tmp_path, capsys,
+                                            monkeypatch, widths, depth):
+        models = []
+
+        def spy(*args):
+            models.append(init_mlp(*args))
+            return models[-1]
+
+        monkeypatch.setattr(srslab.training, "init_mlp", spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_TRAIN.replace("hidden = 8", f"hidden = {widths}"),
+                       encoding="utf-8")
+        out_path = tmp_path / "run.csv"
+        assert main(["train", str(cfg), "--out", str(out_path)]) == 0
+        assert [len(m.ws) for m in models] == [depth]
+        assert [w.shape[1] for w in models[0].ws[:-1]] == [
+            int(w) for w in widths.split(",") if w]
+        table = read_csv(out_path)
+        assert len(table.rows) == 4
+        assert all(math.isfinite(float(row[2])) for row in table.rows)
+
+    @pytest.mark.parametrize("widths", ["0", "64,0"])
+    def test_zero_hidden_width_exits_two(self, tmp_path, capsys, widths):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_TRAIN.replace("hidden = 8", f"hidden = {widths}"),
+                       encoding="utf-8")
+        out_path = tmp_path / "x.csv"
+        assert main(["train", str(cfg), "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: hidden must be >= 1, got 0\n")
+        assert not out_path.exists()
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "nope.cfg"), "--out",

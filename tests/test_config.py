@@ -133,6 +133,7 @@ class TestParseConfig:
         ("ipc_test", "-2", "ipc_test must be >= 1, got -2"),
         ("dim", "0", "dim must be >= 1, got 0"),
         ("hidden", "0", "hidden must be >= 1, got 0"),
+        ("hidden", "32,32,-1", "hidden must be >= 1, got -1"),
         ("sigma_means", "0", "sigma_means must be > 0, got 0.0"),
         ("sigma_noise", "-1.5", "sigma_noise must be > 0, got -1.5"),
     ])
@@ -148,6 +149,16 @@ class TestSerializeConfig:
                                lr_milestones=(60, 75, 87), seed=9)
         path = write(tmp_path, serialize_config(original))
         assert parse_config(path) == original
+
+    @pytest.mark.parametrize("hidden, line", [
+        ((), "hidden ="), ((64,), "hidden = 64"), ((32, 32), "hidden = 32,32"),
+        (64, "hidden = 64")])
+    def test_hidden_widths_round_trip(self, tmp_path, hidden, line):
+        original = TrainConfig(hidden=hidden)
+        text = serialize_config(original)
+        assert line in text.splitlines()
+        assert " \n" not in text
+        assert parse_config(write(tmp_path, text)) == original
 
     def test_normal_form_is_idempotent(self, tmp_path):
         text = "sampler = srs\nlr_milestones = 60,75,87\n"

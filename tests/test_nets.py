@@ -224,6 +224,13 @@ class TestParameterBuffer:
     def test_init_rejects_degenerate_sizes(self):
         with pytest.raises(ValueError):
             init_mlp(0, 3, 2, make_stream(0))
+        with pytest.raises(ValueError, match="^hidden must be >= 1, got 0$"):
+            init_mlp(3, (4, 0), 2, make_stream(0))
+
+    def test_one_width_and_a_one_width_list_build_the_same_bytes(self):
+        flats = [init_mlp(16, hidden, 10, make_stream(7)).flat.tobytes()
+                 for hidden in (64, (64,), [64], np.int64(64))]
+        assert flats[1:] == flats[:1] * 3
 
 
 class TestLayers:
@@ -279,15 +286,17 @@ class TestLayers:
     @DEPTHS
     def test_backward_matches_finite_differences(self, widths):
         rng = make_stream(6)
-        model = hand_built(widths, rng)
-        x = rng.normal(size=(7, widths[0]))
-        y = rng.integers(0, widths[-1], size=7)
-        analytic = backward(model, forward_loss(model, x, y)[1])
-        numeric = finite_difference_grads(model, x, y)
-        for name in analytic:
-            a, f = analytic[name], numeric[name]
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
-            assert (np.abs(a - f) / denom).max() < 1e-4, name
+        built = init_mlp(widths[0], widths[1:-1], widths[-1], rng)
+        assert [w.shape for w in built.ws] == list(zip(widths, widths[1:]))
+        for model in (hand_built(widths, rng), built):
+            x = rng.normal(size=(7, widths[0]))
+            y = rng.integers(0, widths[-1], size=7)
+            analytic = backward(model, forward_loss(model, x, y)[1])
+            numeric = finite_difference_grads(model, x, y)
+            for name in analytic:
+                a, f = analytic[name], numeric[name]
+                denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
+                assert (np.abs(a - f) / denom).max() < 1e-4, name
 
 
 class TestErrorRate:

@@ -370,6 +370,19 @@ class TestCheckedAtConstruction:
         with pytest.raises(ValueError, match="^hidden must be >= 1, got 0$"):
             TrainConfig(hidden=0)
 
+    def test_hidden_is_stored_as_a_tuple_of_ints(self):
+        configs = [TrainConfig(hidden=h)
+                   for h in (64, (64,), [64], np.int64(64), [np.int64(64)])]
+        assert all(c == configs[0] for c in configs)
+        assert len({hash(c) for c in configs}) == 1
+        assert [type(w) for c in configs for w in c.hidden] == [int] * 5
+        deep = TrainConfig(hidden=[32, 32])
+        assert deep.hidden == (32, 32) and TrainConfig(hidden=()).hidden == ()
+        # shared_prefixes keys its plan by the runs, so they must hash
+        with srslab.training.shared_prefixes([deep, dataclasses.replace(
+                deep, lr_milestones=(150,))]):
+            pass
+
     def test_fields_are_frozen(self):
         config = TrainConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
