@@ -1,9 +1,9 @@
 """Flat `key = value` experiment configs.
 
 One key per line, `#` starts a comment, unknown keys are rejected.  A
-missing run key takes its `TrainConfig` default; a missing grid key falls
-back as `parse_grid_config` says.  The same file format drives single
-runs and comparison grids; grid-only keys are ignored by single runs.
+file is its base run crossed with the grid keys: a missing run key takes
+its `TrainConfig` default, and a missing grid key is the base run's own
+value.  `parse_grid_config` reads every file; `train` needs exactly one run.
 """
 
 from __future__ import annotations
@@ -135,30 +135,29 @@ def _parse_lines(text: str) -> dict[str, Any]:
     return values
 
 
-def _build_train_config(values: dict[str, Any]) -> TrainConfig:
-    return TrainConfig(**{k: v for k, v in values.items() if k in _TRAIN_KEYS})
-
-
-def parse_config(path) -> TrainConfig:
-    """Read a single-run config; missing keys take their defaults."""
-    text = Path(path).read_text(encoding="utf-8-sig")
-    return _build_train_config(_parse_lines(text))
-
-
 def parse_grid_config(path) -> GridConfig:
-    """Read a comparison-grid config (base run keys plus samplers /
-    schedules / seeds).  Missing grid keys default to samplers epoch, srs;
-    the base run's schedule; and the base run's seed."""
+    """Read a config file as its set of runs: the base run's keys, crossed
+    with samplers / schedules / seeds, each of which defaults to the base
+    run's own sampler, schedule and seed."""
     values = _parse_lines(Path(path).read_text(encoding="utf-8-sig"))
-    base = _build_train_config(values)
+    base = TrainConfig(**{k: v for k, v in values.items() if k in _TRAIN_KEYS})
     schedules = values.get("schedules", ((base.lr_milestones, None),))
     return GridConfig(
         base=base,
-        samplers=values.get("samplers", ("epoch", "srs")),
+        samplers=values.get("samplers", (base.sampler,)),
         schedules=tuple((milestones, base.lr_decay if decay is None else decay)
                         for milestones, decay in schedules),
         seeds=values.get("seeds", (base.seed,)),
     )
+
+
+def parse_config(path) -> TrainConfig:
+    """Read a config file that describes one run, and return that run."""
+    runs = parse_grid_config(path).runs()
+    if len(runs) != 1:
+        raise ValueError(f"{path} describes {len(runs)} runs; train runs "
+                         f"one, compare runs them all")
+    return runs[0]
 
 
 def serialize_config(config: TrainConfig) -> str:

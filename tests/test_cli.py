@@ -22,6 +22,7 @@ from srslab.csvio import read_csv, write_csv
 from srslab.nets import init_mlp
 from srslab.training import lr_at, train
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TINY_TRAIN = (
     "classes = 2\nipc_train = 10\nipc_test = 5\ndim = 2\n"
     "sigma_means = 3.0\nsigma_noise = 0.3\nhidden = 8\nbatch_size = 5\n"
@@ -402,6 +403,30 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("line", [
+        "samplers = srs, srs", "seeds = 0, -1", "schedules = 9,5@0.1"])
+    def test_bad_grid_line_is_one_error_for_both_commands(self, tmp_path,
+                                                          capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_TRAIN + line + "\n", encoding="utf-8")
+        errs = []
+        for command in ("train", "compare"):
+            out_path = tmp_path / f"{command}.csv"
+            assert main([command, str(cfg), "--out", str(out_path)]) == 2
+            errs.append(capsys.readouterr().err)
+            assert not out_path.exists()
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: ") and errs[0].count("\n") == 1
+
+    def test_file_of_many_runs_exits_two(self, tmp_path, capsys):
+        cfg = CONFIGS / "desk_grid.cfg"
+        out_path = tmp_path / "g.csv"
+        assert main(["train", str(cfg), "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg} describes 20 runs; train runs one, compare runs "
+            "them all\n")
+        assert not out_path.exists()
+
 
 class TestCompare:
     def test_grid_arity_and_medians(self, tmp_path, capsys):
@@ -434,7 +459,8 @@ class TestCompare:
 
     def test_summary_goes_to_stdout(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text(TINY_TRAIN + "seeds = 0\n", encoding="utf-8")
+        cfg.write_text(TINY_TRAIN + "samplers = epoch, srs\nseeds = 0\n",
+                       encoding="utf-8")
         main(["compare", str(cfg), "--out", str(tmp_path / "g.csv")])
         out = capsys.readouterr().out
         assert out.count("\n") == 2  # one line per cell
@@ -445,6 +471,16 @@ class TestCompare:
             f"{m['sampler']} ({m['milestones']}) decay {m['decay']}: "
             f"median final={m['final_test_error']} "
             f"best={m['best_test_error']}" for m in medians]
+
+    def test_missing_samplers_key_is_the_base_sampler(self, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(TINY_TRAIN + "sampler = replacement\n",
+                       encoding="utf-8")
+        out_path = tmp_path / "grid.csv"
+        assert main(["compare", str(cfg), "--out", str(out_path)]) == 0
+        assert [(r[0], r[3]) for r in read_csv(out_path).rows] == [
+            ("replacement", "0"), ("replacement", "median")]
 
     def test_one_train_call_per_run_row_in_row_order(self, tmp_path,
                                                      capsys, monkeypatch):

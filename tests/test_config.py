@@ -189,7 +189,8 @@ class TestSerializeConfig:
         )
         path = tmp_path_factory.mktemp("cfg") / "roundtrip.cfg"
         path.write_text(serialize_config(original), encoding="utf-8")
-        assert parse_config(path) == original
+        grid = parse_grid_config(path)
+        assert parse_config(path) == original == grid.base == grid.runs()[0]
 
 
 class TestGridConfig:
@@ -211,14 +212,17 @@ class TestGridConfig:
         ]
 
     def test_grid_defaults_fall_back_to_base_run(self, tmp_path):
-        text = "lr_milestones = 10,20\nlr_decay = 0.5\nseed = 4\n"
+        text = ("sampler = replacement\nlr_milestones = 10,20\n"
+                "lr_decay = 0.5\nseed = 4\n")
         grid = parse_grid_config(write(tmp_path, text))
-        assert grid.samplers == ("epoch", "srs")
+        assert grid.samplers == ("replacement",)
         assert grid.schedules == (((10, 20), 0.5),)
         assert grid.seeds == (4,)
+        assert grid.runs() == [grid.base]
 
     def test_schedule_without_decay_uses_base_decay(self, tmp_path):
-        text = "lr_decay = 0.25\nschedules = 5,9 | 2,5@0.5\n"
+        text = ("lr_decay = 0.25\nsamplers = epoch, srs\n"
+                "schedules = 5,9 | 2,5@0.5\n")
         grid = parse_grid_config(write(tmp_path, text))
         assert grid.schedules == (((5, 9), 0.25), ((2, 5), 0.5))
         assert grid.cells() == [
@@ -272,10 +276,18 @@ class TestGridConfig:
                            match="^seeds: 0 appears more than once"):
             parse_grid_config(write(tmp_path, "seeds = 0, 1, 0\n"))
 
-    def test_grid_keys_are_ignored_by_single_run_parse(self, tmp_path):
-        text = "seeds = 0,1\nsampler = epoch\n"
-        config = parse_config(write(tmp_path, text))
-        assert config.sampler == "epoch"
+    def test_single_run_parse_needs_exactly_one_run(self, tmp_path):
+        one = write(tmp_path, "sampler = srs\nsamplers = epoch\n"
+                    "schedules = 3@0.5\nseeds = 2\n")
+        assert parse_config(one) == TrainConfig(
+            sampler="epoch", lr_milestones=(3,), lr_decay=0.5, seed=2)
+        two = write(tmp_path, "seeds = 0,1\nsampler = epoch\n", name="b.cfg")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(two))} "
+                                             "describes 2 runs; train runs "
+                                             "one, compare runs them all$"):
+            parse_config(two)
+        assert [run.sampler for run in parse_grid_config(two).runs()] == [
+            "epoch", "epoch"]
 
 
 class TestGridConfigConstruction:
@@ -293,7 +305,8 @@ class TestGridConfigConstruction:
                        schedules=(((5,), 0.1),), seeds=())
 
     def test_fields_are_frozen(self, tmp_path):
-        grid = parse_grid_config(write(tmp_path, "seeds = 0, 1\n"))
+        grid = parse_grid_config(write(tmp_path, "samplers = epoch, srs\n"
+                                                 "seeds = 0, 1\n"))
         with pytest.raises(FrozenInstanceError):
             grid.seeds = (0, 0)
         assert [run.seed for run in grid.runs()] == [0, 1, 0, 1]
