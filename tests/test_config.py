@@ -1,12 +1,11 @@
 import re
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srslab.cli import main
 from srslab.config import (GridConfig, parse_config, parse_grid_config,
                            serialize_config)
 from srslab.training import TrainConfig
@@ -70,77 +69,11 @@ class TestParseConfig:
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert parse(marked) == parse(plain)
 
-    def test_malformed_line(self, tmp_path):
-        with pytest.raises(ValueError, match="line 1: expected 'key = value', "
-                                             "got 'just some words'"):
-            parse_config(write(tmp_path, "just some words\n"))
-
-    def test_duplicate_key_is_malformed(self, tmp_path):
-        with pytest.raises(ValueError, match="line 2: duplicate key 'seed'"):
-            parse_config(write(tmp_path, "seed = 1\nseed = 2\n"))
-
-    def test_unknown_key(self, tmp_path):
-        with pytest.raises(ValueError,
-                           match="line 1: unknown key 'learning_rate'"):
-            parse_config(write(tmp_path, "learning_rate = 0.1\n"))
-
-    def test_out_of_range_value(self, tmp_path):
-        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
-            parse_config(write(tmp_path, "batch_size = 0\n"))
-
-    def test_unparseable_value(self, tmp_path):
-        with pytest.raises(ValueError, match="line 1: batch_size: expected "
-                                             "int, got 'many'"):
-            parse_config(write(tmp_path, "batch_size = many\n"))
-
-    def test_bad_sampler_name(self, tmp_path):
-        with pytest.raises(ValueError, match=r"^sampler must be one of "
-                                             r"\(.*\), got 'shuffle'"):
-            parse_config(write(tmp_path, "sampler = shuffle\n"))
-
     def test_sequence_key(self, tmp_path):
         path = write(tmp_path, "sequence = shuffled\n")
         assert parse_config(path).sequence == "shuffled"
         assert parse_config(write(tmp_path, "", name="b.cfg")).sequence == (
             "identity")
-
-    @settings(max_examples=30, deadline=None)
-    @given(key=st.sampled_from([f.name for f in fields(TrainConfig)
-                                if f.type == "float"]),
-           text=st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf",
-                                 "Infinity", "1e999", "-1e999"]))
-    def test_non_finite_floats_are_rejected(self, tmp_path_factory, key,
-                                            text):
-        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
-        path.write_text(f"{key} = {text}\nepochs = 1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
-            parse_config(path)
-        assert main(["train", str(path), "--out",
-                     str(path.with_suffix(".csv"))]) == 2
-        assert not path.with_suffix(".csv").exists()
-
-    def test_errors_are_all_config_errors(self, tmp_path):
-        for text, message in (
-                ("x = 1\n", "line 1: unknown key 'x'"),
-                ("nonsense\n", "line 1: expected 'key = value', got 'non"),
-                ("lr = -3\n", r"lr must be > 0, got -3\.0")):
-            with pytest.raises(ValueError, match=message):
-                parse_config(write(tmp_path, text))
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("classes", "0", "classes must be >= 1, got 0"),
-        ("ipc_train", "0", "ipc_train must be >= 1, got 0"),
-        ("ipc_test", "-2", "ipc_test must be >= 1, got -2"),
-        ("dim", "0", "dim must be >= 1, got 0"),
-        ("hidden", "0", "hidden must be >= 1, got 0"),
-        ("hidden", "32,32,-1", "hidden must be >= 1, got -1"),
-        ("sigma_means", "0", "sigma_means must be > 0, got 0.0"),
-        ("sigma_noise", "-1.5", "sigma_noise must be > 0, got -1.5"),
-    ])
-    def test_size_errors_name_their_key(self, tmp_path, key, value,
-                                        message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            parse_config(write(tmp_path, f"{key} = {value}\n"))
 
 
 class TestSerializeConfig:
@@ -236,56 +169,13 @@ class TestGridConfig:
         assert grid.base.classes == 3
         assert grid.base.batch_size == 4
 
-    def test_grid_validation_errors(self, tmp_path):
-        with pytest.raises(ValueError, match="got 'shuffle'"):
-            parse_grid_config(write(tmp_path, "samplers = srs, shuffle\n"))
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            parse_grid_config(write(tmp_path, "seeds = -1\n"))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            parse_grid_config(write(tmp_path, "schedules = 9,5@0.1\n"))
-
-    @pytest.mark.parametrize("line", [
-        "schedules = 10,10",          # milestones not increasing
-        "schedules = 0,5",            # milestone before the first epoch
-        "schedules = 5@1.0",          # decay that does not decay
-        "seeds = 0, -1",
-        "samplers = epoch, shuffle",
-    ])
-    def test_grid_rejects_what_a_single_run_rejects(self, tmp_path, line):
-        # the values TrainConfig.validate rejects, placed in grid keys
-        with pytest.raises(ValueError, match=r"^grid cell \(.*\) seed"):
-            parse_grid_config(write(tmp_path, line + "\n"))
-
-    def test_empty_schedules_would_repeat_a_cell(self, tmp_path):
-        # "|" splits into two empty schedules: the same cell twice
-        with pytest.raises(ValueError, match=r"^schedules: \(\(\), 0\.1\) "
-                                             "appears more than once"):
-            parse_grid_config(write(tmp_path, "schedules = |\n"))
-        with pytest.raises(ValueError, match=r"^schedules: \(\(5, 9\), 0\.5\) "
-                                             "appears more than once"):
-            parse_grid_config(write(tmp_path, "lr_decay = 0.5\n"
-                                    "schedules = 5,9 | 5,9@0.5\n"))
-
-    def test_repeated_sampler_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="^samplers: 'srs' appears more "
-                                             "than once"):
-            parse_grid_config(write(tmp_path, "samplers = srs, epoch, srs\n"))
-
-    def test_repeated_seed_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError,
-                           match="^seeds: 0 appears more than once"):
-            parse_grid_config(write(tmp_path, "seeds = 0, 1, 0\n"))
-
     def test_single_run_parse_needs_exactly_one_run(self, tmp_path):
+        # a file of two runs exits 2 under train: see test_rejected_input
         one = write(tmp_path, "sampler = srs\nsamplers = epoch\n"
                     "schedules = 3@0.5\nseeds = 2\n")
         assert parse_config(one) == TrainConfig(
             sampler="epoch", lr_milestones=(3,), lr_decay=0.5, seed=2)
         two = write(tmp_path, "seeds = 0,1\nsampler = epoch\n", name="b.cfg")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(two))} "
-                                             "describes 2 runs; train runs "
-                                             "one, compare runs them all$"):
-            parse_config(two)
         assert [run.sampler for run in parse_grid_config(two).runs()] == [
             "epoch", "epoch"]
 
