@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 from dataclasses import astuple, dataclass, fields, replace
@@ -171,6 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # a missing --out directory fails as the write would, before any work
+        if not os.path.isdir(os.path.dirname(getattr(args, "out", "")) or "."):
+            open(args.out, "rb").close()
         return args.func(args)
     except (ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

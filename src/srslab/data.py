@@ -7,6 +7,7 @@ regime where the choice of mini-batch sampler is expected to matter.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,13 @@ class SyntheticDataset:
 def check_blob_params(classes: int, ipc_train: int, ipc_test: int, dim: int,
                       sigma_means: float, sigma_noise: float,
                       label_noise: float) -> None:
-    """Raise ValueError unless every size is >= 1, both scales are > 0
-    and label_noise is in [0, 1), and 0 if there is one class."""
+    """Raise ValueError unless each size is in [1, sys.maxsize], both scales
+    are > 0 and label_noise is in [0, 1), and 0 if there is one class."""
     for key, size in (("classes", classes), ("ipc_train", ipc_train),
                       ("ipc_test", ipc_test), ("dim", dim)):
-        if size < 1:
-            raise ValueError(f"{key} must be >= 1, got {size}")
+        if not 1 <= size <= sys.maxsize:
+            bound = ">= 1" if size < 1 else f"<= {sys.maxsize}"
+            raise ValueError(f"{key} must be {bound}, got {size}")
     for key, scale in (("sigma_means", sigma_means),
                        ("sigma_noise", sigma_noise)):
         if scale <= 0:

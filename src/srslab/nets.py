@@ -9,6 +9,7 @@ to verify against finite differences.  No hidden layer is softmax regression.
 from __future__ import annotations
 
 import operator
+import sys
 
 import numpy as np
 
@@ -64,12 +65,13 @@ class Mlp:
 
 def check_mlp_sizes(dim: int, hidden: int | tuple[int, ...],
                     classes: int) -> tuple[int, ...]:
-    """Layer widths `(dim, *hidden, classes)` as ints, each must be >= 1."""
+    """Layer widths `(dim, *hidden, classes)`, ints in [1, sys.maxsize]."""
     widths = tuple(map(operator.index, (dim, *np.atleast_1d(hidden), classes)))
     keys = ("dim", *["hidden"] * (len(widths) - 2), "classes")
     for key, width in zip(keys, widths):
-        if width < 1:
-            raise ValueError(f"{key} must be >= 1, got {width}")
+        if not 1 <= width <= sys.maxsize:
+            bound = ">= 1" if width < 1 else f"<= {sys.maxsize}"
+            raise ValueError(f"{key} must be {bound}, got {width}")
     return widths
 
 

@@ -1,5 +1,4 @@
 import contextlib
-import contextvars
 import hashlib
 import math
 import os
@@ -7,6 +6,7 @@ import pkgutil
 import subprocess
 import sys
 import tomllib
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -15,10 +15,10 @@ import srslab
 import srslab.cli
 import srslab.counting
 import srslab.training
-from srslab.cli import CompareRow, main, records_table, run_grid
+from srslab.cli import main
 from srslab.config import parse_config, parse_grid_config
 from srslab.coverage import expected_untouched_replacement
-from srslab.csvio import read_csv, write_csv
+from srslab.csvio import read_csv
 from srslab.nets import init_mlp
 from srslab.training import lr_at, train
 
@@ -48,6 +48,44 @@ TWIN_GRID = TINY_TRAIN + (
     "samplers = epoch, srs\n"
     "schedules = 10@0.1 | 11@0.1 | 2@0.1\nseeds = 0, 1\n"
 )
+
+
+@dataclass
+class Sharing:
+    """One compare's shared prefixes: the plan as built, each run's (source
+    run, resume epoch) and each saved state's last reader; the plan and
+    store in force as it ended; and per run, the result, the forward
+    passes and the keys of the states then held."""
+
+    sources: dict
+    last: dict
+    left: tuple
+    trained: list = field(default_factory=list)
+
+
+def spy_on_sharing(monkeypatch, forward_calls):
+    """Log a Sharing per compare from here on; return the log and a reader
+    of the plan and store in force, empty outside a compare."""
+    log, read = [], srslab.training._SHARED.get
+    real_plan, real_train = srslab.cli.shared_prefixes, srslab.cli.train
+
+    @contextlib.contextmanager
+    def plan(runs):
+        with real_plan(runs):
+            sources, last, _ = left = read()
+            log.append(Sharing(dict(sources), dict(last), left))
+            yield
+
+    def train(config):
+        start = len(forward_calls)
+        result = real_train(config)
+        log[-1].trained.append(
+            (result, len(forward_calls) - start, set(read()[2])))
+        return result
+
+    monkeypatch.setattr(srslab.cli, "shared_prefixes", plan)
+    monkeypatch.setattr(srslab.cli, "train", train)
+    return log, read
 
 
 def sha256(path) -> str:
@@ -330,189 +368,72 @@ class TestCompare:
                            repr(result.final_test_error),
                            repr(result.best_test_error)]
 
-    def test_shared_prefixes_match_standalone_runs(self, tmp_path, capsys,
-                                                   monkeypatch, train_results):
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text(PREFIX_GRID, encoding="utf-8")
-        out_path = tmp_path / "grid.csv"
-        assert main(["compare", str(cfg), "--out", str(out_path)]) == 0
-        assert len(train_results) == 24
-        for result in train_results:
-            # every row, the fork epochs' learning_rate included
-            assert result == train(result.config)
-        # a resumed run's fork row reports its own rate, not its source's
-        assert [r.learning_rate for r in train_results[2].rows] == [
-            0.1, 0.1 * 0.1, 0.1 * 0.1, 0.1 * 0.1 ** 2]
-        monkeypatch.setattr(srslab.cli, "shared_prefixes",
-                            lambda runs: contextlib.nullcontext())
-        expected = tmp_path / "standalone.csv"
-        write_csv(records_table(CompareRow, run_grid(parse_grid_config(cfg))),
-                  expected)
-        assert out_path.read_bytes() == expected.read_bytes()
-
-    def test_two_readers_of_one_state_each_match_standalone_runs(
-            self, tmp_path, capsys, train_results):
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text(FORK_GRID, encoding="utf-8")
-        runs = parse_grid_config(cfg).runs()
-        with srslab.training.shared_prefixes(runs):
-            sources = srslab.training._SHARED.get()[0]
-        readers = [list(sources.values()).count(key)
-                   for key in set(sources.values())]
-        assert readers == [2] * 4  # per (sampler, seed)
-        assert main(["compare", str(cfg), "--out",
-                     str(tmp_path / "g.csv")]) == 0
-        assert [result.config for result in train_results] == runs
-        for result in train_results:
-            # every row and rate, the second reader's included
-            assert result == train(result.config)
-
-    def test_shared_prefixes_are_trained_once_per_compare(self, tmp_path,
-                                                          capsys,
-                                                          forward_calls):
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text(PREFIX_GRID, encoding="utf-8")
-        # Per (sampler, seed): 4@0.1 trains all 4 epochs, 2,4@0.1 resumes
-        # at 2, 2,3@0.1 at 3 and 5@0.1 at 4; 3 samplers x 2 seeds,
-        # 20 // 5 batches an epoch
-        per_epoch = 4
-        trained = 3 * 2 * ((4 - 0) + (4 - 2) + (4 - 3) + (4 - 4)) * per_epoch
-        for _ in range(2):  # nothing carries over to the next compare
-            forward_calls.clear()
-            assert main(["compare", str(cfg), "--out",
-                         str(tmp_path / "g.csv")]) == 0
-            assert len(forward_calls) == trained == 168
-        forward_calls.clear()
-        train(parse_grid_config(cfg).runs()[1])
-        assert len(forward_calls) == 4 * per_epoch
-
-    def test_runs_whose_rates_never_part_share_every_epoch(
-            self, tmp_path, capsys, monkeypatch, forward_calls,
-            train_results):
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text(TWIN_GRID, encoding="utf-8")
-        shared = tmp_path / "shared.csv"
-        assert main(["compare", str(cfg), "--out", str(shared)]) == 0
-        # Per (sampler, seed): 10@0.1 trains all 4 epochs, 11@0.1 none
-        # and 2@0.1 the last 2; 2 samplers x 2 seeds, 4 batches an epoch
-        assert len(forward_calls) == 2 * 2 * (4 + 0 + 2) * 4 == 96
-        monkeypatch.setattr(srslab.cli, "shared_prefixes",
-                            lambda runs: contextlib.nullcontext())
-        standalone = tmp_path / "standalone.csv"
-        forward_calls.clear()
-        assert main(["compare", str(cfg), "--out", str(standalone)]) == 0
-        assert len(forward_calls) == 2 * 2 * 3 * 4 * 4
-        assert shared.read_bytes() == standalone.read_bytes()
-        # every row of the run that trained no epoch, its rates included
-        assert train_results[:12] == train_results[12:]
-
-    @pytest.mark.parametrize("grid", [PREFIX_GRID, TWIN_GRID],
-                             ids=["prefix", "twin"])
-    def test_a_compare_leaves_its_plan_as_built(self, tmp_path, capsys,
-                                                monkeypatch, grid):
-        plans, real = [], srslab.cli.shared_prefixes
-
-        @contextlib.contextmanager
-        def spy(runs):
-            with real(runs):
-                plans.append((runs, srslab.training._SHARED.get()))
-                yield
-
-        monkeypatch.setattr(srslab.cli, "shared_prefixes", spy)
+    @pytest.mark.parametrize("grid, passes, saved, peak", [
+        # Per (sampler, seed): 4@0.1 trains all 4 epochs and saves at 2 for
+        # 2,4@0.1 and at 4 for 5@0.1; 2,4@0.1 resumes at 2 and saves at 3
+        # for 2,3@0.1, which trains 1; 5@0.1 trains none.  A state lives
+        # up to its last reader, so one sampler's 4 are held, not all 18.
+        pytest.param(PREFIX_GRID, 168, [2] * 6 + [3] * 6 + [4] * 6, 4,
+                     id="prefix"),
+        # one state per (sampler, seed), read by both forks
+        pytest.param(FORK_GRID, 128, [2] * 4, 2, id="fork"),
+        # 11@0.1 trains none and 2@0.1 the last 2
+        pytest.param(TWIN_GRID, 96, [2] * 4 + [4] * 4, 4, id="twin"),
+        # FORK_GRID's first sampler and seed
+        pytest.param(TINY_TRAIN + "samplers = epoch\n"
+                     "schedules = 4@0.1 | 2@0.1 | 2@0.5\nseeds = 0\n",
+                     32, [2], 1, id="one-sampler-fork"),
+        # configs/desk_grid.cfg's shape: each state has one reader
+        pytest.param(TINY_TRAIN + "samplers = epoch, srs\n"
+                     "schedules = 3@0.1 | 2@0.1\nseeds = 0, 1\n",
+                     96, [2] * 4, 2, id="desk-shaped"),
+    ])
+    def test_shared_prefixes(self, tmp_path, monkeypatch, forward_calls,
+                             grid, passes, saved, peak):
+        """A compare trains each shared prefix once, with the forward
+        passes, saved states and peak store of its row, and writes the
+        bytes of a compare that shares nothing."""
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(grid, encoding="utf-8")
-        assert main(["compare", str(cfg), "--out",
-                     str(tmp_path / "g.csv")]) == 0
-        [(runs, (sources, last, states))] = plans
-        with real(runs):
-            fresh_sources, fresh_last, _ = srslab.training._SHARED.get()
-        assert (sources, last, states) == (fresh_sources, fresh_last, {})
-
-    def test_only_states_that_are_read_are_saved(self, tmp_path, capsys,
-                                                 monkeypatch, train_results):
-        events, plans, peak = [], [], [0]
-
-        class Store(dict):
-            """States that log each event on a key, with the number of
-            runs finished before it."""
-
-            def log(self, event, key):
-                events.append((event, key, len(train_results)))
-
-            def __setitem__(self, key, value):
-                self.log("save", key)
-                super().__setitem__(key, value)
-                peak[0] = max(peak[0], len(self))
-
-            def __getitem__(self, key):
-                self.log("read", key)
-                return super().__getitem__(key)
-
-            def pop(self, key):
-                self.log("pop", key)
-                return super().pop(key)
-
-        real = srslab.training._SHARED
-
-        class Shared:
-            """The prefix ContextVar, wrapping each store it is given."""
-
-            def set(self, value):
-                sources, last, states = value
-                plans.append((sources, Store(states)))
-                return real.set((sources, last, plans[-1][1]))
-
-            def get(self):
-                return real.get()
-
-            def reset(self, token):
-                real.reset(token)
-
-        monkeypatch.setattr(srslab.training, "_SHARED", Shared())
-        cfg = tmp_path / "grid.cfg"
-
-        def compare(text):
-            """Run the grid, then check that each state is saved by its
-            run, read by each run that resumes from it in turn, and
-            dropped by the last; return the keys saved."""
-            events.clear()
-            train_results.clear()
-            cfg.write_text(text, encoding="utf-8")
-            assert main(["compare", str(cfg), "--out",
-                         str(tmp_path / "g.csv")]) == 0
-            plan, store = plans[-1]
-            assert store == {}  # nothing outlives its last reader
-            on_key = {}
-            for event, key, done in events:
-                run = train_results[done].config
-                on_key.setdefault(key, []).append((event, run))
-            assert set(on_key) == set(plan.values())
-            for key, seen in on_key.items():
-                readers = [r for r in plan if plan[r] == key]
-                assert seen == [("save", key[0])] + [
-                    ("read", r) for r in readers[:-1]] + [("pop", readers[-1])]
-            return [key for event, key, _ in events if event == "save"]
-
-        saved = compare(PREFIX_GRID)
-        # Per (sampler, seed): 4@0.1 saves at 2 for 2,4@0.1 and at 4 for
-        # 5@0.1; 2,4@0.1 saves at 3 for 2,3@0.1
-        assert len(set(saved)) == len(saved) == 3 * 2 * 3
-        assert sorted(e for _, e in saved) == [2] * 6 + [3] * 6 + [4] * 6
-        # a state lives from its save to its last read, so at most one
-        # sampler's 4 are held at once, not all 18
-        assert peak[0] == 4
-        # 2@0.1 and 2@0.5 both part from 4@0.1 at 2, and from each other
-        # at 2: one state, loaded by both
-        saved = compare(TINY_TRAIN + "samplers = epoch\n"
-                        "schedules = 4@0.1 | 2@0.1 | 2@0.5\nseeds = 0\n")
-        assert [e for _, e in saved] == [2]
-        assert [event for event, *_ in events].count("read") == 1
-
-        events.clear()
-        outside = contextvars.ContextVar("spy", default=({}, {}, Store()))
-        monkeypatch.setattr(srslab.training, "_SHARED", outside)
-        train(parse_grid_config(cfg).runs()[0])
-        assert events == []
+        runs = parse_grid_config(cfg).runs()
+        batches = runs[0].train_size // runs[0].batch_size
+        standalone, shared = tmp_path / "standalone.csv", tmp_path / "g.csv"
+        with monkeypatch.context() as m:
+            m.setattr(srslab.cli, "shared_prefixes",
+                      lambda runs: contextlib.nullcontext())
+            assert main(["compare", str(cfg), "--out", str(standalone)]) == 0
+        log, read = spy_on_sharing(monkeypatch, forward_calls)
+        for _ in range(2):  # nothing carries over to the next compare
+            assert main(["compare", str(cfg), "--out", str(shared)]) == 0
+        assert shared.read_bytes() == standalone.read_bytes()
+        first, second = log
+        results, taken, held = map(list, zip(*first.trained))
+        assert [result.config for result in results] == runs
+        assert taken == [
+            (run.epochs - first.sources.get(run, (None, 0))[1]) * batches
+            for run in runs]
+        assert sum(taken) == passes
+        assert [t for _, t, _ in second.trained] == taken
+        # Each state is saved by its source run and held until its last
+        # reader pops it; no other state is saved.
+        keys = set(first.sources.values())
+        assert set().union(*held) == keys
+        for key in keys:
+            source = runs.index(key[0])
+            end = max(runs.index(r) for r in first.sources
+                      if first.sources[r] == key)
+            assert [key in h for h in held] == [
+                source <= i < end for i in range(len(runs))]
+        assert sorted(epoch for _, epoch in keys) == saved
+        assert max(map(len, held)) == peak
+        assert first.left == (first.sources, first.last, {})
+        # Outside a compare, train trains every epoch and saves nothing;
+        # each shared run's rows, rates included, are its standalone rows.
+        forward_calls.clear()
+        for result in results:
+            assert result == train(result.config)
+        assert len(forward_calls) == len(runs) * runs[0].epochs * batches
+        assert read() == ({}, {}, {})
 
 
 class TestUsage:

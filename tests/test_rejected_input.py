@@ -8,7 +8,7 @@ the row's message, and nothing on stdout, and leave no file behind, its
 `--out` included.  Both commands print the same line for one config.  A
 rule that fires while the file is read raises the same message from
 `parse_grid_config`; a later one leaves the file readable.  No forward
-pass runs unless the row trains: it diverges, or cannot write its output.
+pass runs unless the row trains, that is, diverges.
 The suite's `error` warning filter fails a run that lets a warning escape.
 
 `{cfg}`, `{out}` and `{tmp}` in a message or argv stand for the config
@@ -111,9 +111,10 @@ ROWS = [
            "label_noise = 0.1\nclasses = 1\nbatch_size = 50",
            "label_noise must be 0 with one class: no other class to flip a "
            "label to"),
-    # 10^20 samples per class: more than a numpy array dimension holds
-    config("ipc-train-1e20", "ipc_train = 99999999999999999999",
-           "Maximum allowed dimension exceeded", read=False, prefix=True),
+    # 10^20: more than a numpy array dimension holds
+    *(config(f"{key.replace('_', '-')}-1e20", f"{key} = {10**20}",
+             f"{key} must be <= {sys.maxsize}, got {10**20}")
+      for key in ("classes", "ipc_train", "ipc_test", "dim", "hidden")),
     config("epochs-0", "epochs = 0", "epochs must be >= 1, got 0"),
     config("seed-neg", "seed = -1", "seed must be >= 0, got -1"),
     # the batch size
@@ -218,9 +219,15 @@ ROWS = [
     # files
     argv("missing-config", ["train", "{tmp}/absent.cfg", "--out", "{out}"],
          "[Errno 2] No such file or directory: '{tmp}/absent.cfg'", code=1),
-    argv("unwritable-out", ["train", "{cfg}", "--out", "{tmp}/no_dir/x.csv"],
-         "[Errno 2] No such file or directory: '{tmp}/no_dir/x.csv'",
-         text=TINY_TRAIN, code=1, trains=True),
+    # a missing --out directory fails before any work: no forward pass, and
+    # no coverage of 2**50 samples, which would fail on its allocation
+    *(argv(f"unwritable-out-{args[0]}", [*args, "--out", "{tmp}/no_dir/x.csv"],
+           "[Errno 2] No such file or directory: '{tmp}/no_dir/x.csv'",
+           text=TINY_TRAIN, code=1)
+      for args in (["train", "{cfg}"], ["compare", "{cfg}"],
+                   ["coverage", "srs", str(2**50), "3", "--iterations", "1"])),
+    argv("out-under-a-file", ["compare", "{cfg}", "--out", "{cfg}/x.csv"],
+         "[Errno 20] Not a directory: '{cfg}/x.csv'", text=TINY_TRAIN, code=1),
     # count
     argv("count-b-over-n", ["count", "2", "5"],
          "batch_size 5 exceeds dataset_size 2"),

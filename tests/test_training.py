@@ -27,11 +27,6 @@ SEPARABLE = TrainConfig(classes=2, ipc_train=50, ipc_test=20, dim=2,
 
 
 class TestTrainLoop:
-    @pytest.mark.parametrize("sampler", ["srs", "epoch", "replacement"])
-    def test_separable_blobs_converge(self, sampler):
-        result = train(dataclasses.replace(SEPARABLE, sampler=sampler))
-        assert result.final_train_accuracy >= 0.99
-
     def test_identical_config_reproduces_identical_metrics(self):
         config = dataclasses.replace(SEPARABLE, sampler="srs", epochs=8)
         assert train(config).rows == train(config).rows
