@@ -88,6 +88,49 @@ def spy_on_sharing(monkeypatch, forward_calls):
     return log, read
 
 
+# Each grid with what its compare trains: forward passes in all, the
+# epochs of its saved states, and the most states held at once.
+SHARED_PREFIX_GRIDS = pytest.mark.parametrize("grid, passes, saved, peak", [
+    # Per (sampler, seed): 4@0.1 trains all 4 epochs and saves at 2 for
+    # 2,4@0.1 and at 4 for 5@0.1; 2,4@0.1 resumes at 2 and saves at 3
+    # for 2,3@0.1, which trains 1; 5@0.1 trains none.  A state lives
+    # up to its last reader, so one sampler's 4 are held, not all 18.
+    pytest.param(PREFIX_GRID, 168, [2] * 6 + [3] * 6 + [4] * 6, 4,
+                 id="prefix"),
+    # one state per (sampler, seed), read by both forks
+    pytest.param(FORK_GRID, 128, [2] * 4, 2, id="fork"),
+    # 11@0.1 trains none and 2@0.1 the last 2
+    pytest.param(TWIN_GRID, 96, [2] * 4 + [4] * 4, 4, id="twin"),
+    # FORK_GRID's first sampler and seed
+    pytest.param(TINY_TRAIN + "samplers = epoch\n"
+                 "schedules = 4@0.1 | 2@0.1 | 2@0.5\nseeds = 0\n",
+                 32, [2], 1, id="one-sampler-fork"),
+    # configs/desk_grid.cfg's shape: each state has one reader
+    pytest.param(TINY_TRAIN + "samplers = epoch, srs\n"
+                 "schedules = 3@0.1 | 2@0.1\nseeds = 0, 1\n",
+                 96, [2] * 4, 2, id="desk-shaped"),
+])
+
+
+def compare_twice(tmp_path, monkeypatch, forward_calls, text):
+    """Run the grid `text` as a compare that shares nothing, then as two
+    spied compares, each writing its bytes; return the grid's runs, the
+    batches per epoch and the spy's log and reader."""
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    runs = parse_grid_config(cfg).runs()
+    standalone, shared = tmp_path / "standalone.csv", tmp_path / "g.csv"
+    with monkeypatch.context() as m:
+        m.setattr(srslab.cli, "shared_prefixes",
+                  lambda runs: contextlib.nullcontext())
+        assert main(["compare", str(cfg), "--out", str(standalone)]) == 0
+    log, read = spy_on_sharing(monkeypatch, forward_calls)
+    for _ in range(2):  # nothing carries over to the next compare
+        assert main(["compare", str(cfg), "--out", str(shared)]) == 0
+        assert shared.read_bytes() == standalone.read_bytes()
+    return runs, runs[0].train_size // runs[0].batch_size, log, read
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -368,54 +411,50 @@ class TestCompare:
                            repr(result.final_test_error),
                            repr(result.best_test_error)]
 
-    @pytest.mark.parametrize("grid, passes, saved, peak", [
-        # Per (sampler, seed): 4@0.1 trains all 4 epochs and saves at 2 for
-        # 2,4@0.1 and at 4 for 5@0.1; 2,4@0.1 resumes at 2 and saves at 3
-        # for 2,3@0.1, which trains 1; 5@0.1 trains none.  A state lives
-        # up to its last reader, so one sampler's 4 are held, not all 18.
-        pytest.param(PREFIX_GRID, 168, [2] * 6 + [3] * 6 + [4] * 6, 4,
-                     id="prefix"),
-        # one state per (sampler, seed), read by both forks
-        pytest.param(FORK_GRID, 128, [2] * 4, 2, id="fork"),
-        # 11@0.1 trains none and 2@0.1 the last 2
-        pytest.param(TWIN_GRID, 96, [2] * 4 + [4] * 4, 4, id="twin"),
-        # FORK_GRID's first sampler and seed
-        pytest.param(TINY_TRAIN + "samplers = epoch\n"
-                     "schedules = 4@0.1 | 2@0.1 | 2@0.5\nseeds = 0\n",
-                     32, [2], 1, id="one-sampler-fork"),
-        # configs/desk_grid.cfg's shape: each state has one reader
-        pytest.param(TINY_TRAIN + "samplers = epoch, srs\n"
-                     "schedules = 3@0.1 | 2@0.1\nseeds = 0, 1\n",
-                     96, [2] * 4, 2, id="desk-shaped"),
-    ])
-    def test_shared_prefixes(self, tmp_path, monkeypatch, forward_calls,
-                             grid, passes, saved, peak):
-        """A compare trains each shared prefix once, with the forward
-        passes, saved states and peak store of its row, and writes the
-        bytes of a compare that shares nothing."""
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text(grid, encoding="utf-8")
-        runs = parse_grid_config(cfg).runs()
-        batches = runs[0].train_size // runs[0].batch_size
-        standalone, shared = tmp_path / "standalone.csv", tmp_path / "g.csv"
-        with monkeypatch.context() as m:
-            m.setattr(srslab.cli, "shared_prefixes",
-                      lambda runs: contextlib.nullcontext())
-            assert main(["compare", str(cfg), "--out", str(standalone)]) == 0
-        log, read = spy_on_sharing(monkeypatch, forward_calls)
-        for _ in range(2):  # nothing carries over to the next compare
-            assert main(["compare", str(cfg), "--out", str(shared)]) == 0
-        assert shared.read_bytes() == standalone.read_bytes()
-        first, second = log
-        results, taken, held = map(list, zip(*first.trained))
+    @SHARED_PREFIX_GRIDS
+    def test_shared_prefixes_write_standalone_rows(
+            self, tmp_path, monkeypatch, forward_calls, grid, passes, saved,
+            peak):
+        """A compare writes the bytes of one that shares nothing, and each
+        run's rows, rates included, are those of standalone `train`, which
+        trains every epoch and saves nothing."""
+        runs, batches, log, read = compare_twice(
+            tmp_path, monkeypatch, forward_calls, grid)
+        results = [result for result, _, _ in log[0].trained]
         assert [result.config for result in results] == runs
+        forward_calls.clear()
+        for result in results:
+            assert result == train(result.config)
+        assert len(forward_calls) == len(runs) * runs[0].epochs * batches
+        assert read() == ({}, {}, {})
+
+    @SHARED_PREFIX_GRIDS
+    def test_shared_prefixes_take_the_planned_passes(
+            self, tmp_path, monkeypatch, forward_calls, grid, passes, saved,
+            peak):
+        """Each run trains only the epochs past its resume epoch, the row's
+        passes in all, and the next compare takes the same passes."""
+        runs, batches, log, _ = compare_twice(
+            tmp_path, monkeypatch, forward_calls, grid)
+        first, second = log
+        taken = [t for _, t, _ in first.trained]
         assert taken == [
             (run.epochs - first.sources.get(run, (None, 0))[1]) * batches
             for run in runs]
         assert sum(taken) == passes
         assert [t for _, t, _ in second.trained] == taken
-        # Each state is saved by its source run and held until its last
-        # reader pops it; no other state is saved.
+
+    @SHARED_PREFIX_GRIDS
+    def test_shared_prefixes_hold_each_state_to_its_last_reader(
+            self, tmp_path, monkeypatch, forward_calls, grid, passes, saved,
+            peak):
+        """Each state is saved by its source run and held until its last
+        reader pops it; no other state is saved, and the store is empty
+        when the compare ends."""
+        runs, _, log, _ = compare_twice(
+            tmp_path, monkeypatch, forward_calls, grid)
+        first = log[0]
+        held = [h for _, _, h in first.trained]
         keys = set(first.sources.values())
         assert set().union(*held) == keys
         for key in keys:
@@ -427,13 +466,6 @@ class TestCompare:
         assert sorted(epoch for _, epoch in keys) == saved
         assert max(map(len, held)) == peak
         assert first.left == (first.sources, first.last, {})
-        # Outside a compare, train trains every epoch and saves nothing;
-        # each shared run's rows, rates included, are its standalone rows.
-        forward_calls.clear()
-        for result in results:
-            assert result == train(result.config)
-        assert len(forward_calls) == len(runs) * runs[0].epochs * batches
-        assert read() == ({}, {}, {})
 
 
 class TestUsage:
